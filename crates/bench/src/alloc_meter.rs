@@ -10,7 +10,7 @@
 //! unconditionally.
 //!
 //! The counters are process-global: run measured regions one at a time
-//! (the allocation benches are serial, `jobs = 1`) or the windows overlap.
+//! or the windows overlap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

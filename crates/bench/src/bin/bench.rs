@@ -2,15 +2,14 @@
 //! artifacts.
 //!
 //! ```text
-//! bench --check-budgets [--cache-file <p>] [--waves-file <p>]
+//! bench --check-budgets [--cache-file <p>]
 //!       [--allocs-file <p>] [--service-file <p>] [--convsearch-file <p>]
 //!       [--inline-file <p>] [--history <p>]
-//!       [--warm-floor <x>] [--wave-floor <x>] [--allocs-floor <x>]
+//!       [--warm-floor <x>] [--allocs-floor <x>]
 //!       [--service-throughput-floor <x>] [--service-warm-floor <x>]
 //!       [--service-p99-ceiling-us <n>]
 //!   --check-budgets    verify the artifacts against the budget floors
 //!   --cache-file <p>   cache results (default BENCH_cache.json)
-//!   --waves-file <p>   wave results (default BENCH_waves.json)
 //!   --allocs-file <p>  allocation results (default BENCH_allocs.json;
 //!                      `none` skips the allocation budget)
 //!   --service-file <p> compile-service results (default
@@ -28,8 +27,6 @@
 //!   --history <p>      trajectory file whose lines must all parse
 //!                      (default BENCH_history.jsonl; `none` skips)
 //!   --warm-floor <x>   minimum warm-cache compile speedup (default 3.0)
-//!   --wave-floor <x>   minimum wave-scheduler speedup (default 0.0 —
-//!                      informational until hosts guarantee >1 cores)
 //!   --allocs-floor <x> minimum warm-recompile allocation reduction as a
 //!                      fraction (default 0.5)
 //!   --service-throughput-floor <x>  minimum daemon throughput in
@@ -43,8 +40,8 @@
 //!
 //! Exits nonzero when a budget is violated or an artifact is missing or
 //! malformed, so CI can run it as a hard gate after refreshing the
-//! artifacts with `cache_speedup --small` / `wave_speedup --small` /
-//! `recompile_allocs --small` / `service_bench --small`.
+//! artifacts with `cache_speedup --small` / `recompile_allocs --small` /
+//! `service_bench --small`.
 
 use std::process::ExitCode;
 
@@ -52,10 +49,10 @@ use ipra_bench::read_history;
 use ipra_obs::json::{parse_bytes, Json};
 
 fn usage() -> &'static str {
-    "usage: bench --check-budgets [--cache-file P] [--waves-file P] \
+    "usage: bench --check-budgets [--cache-file P] \
      [--allocs-file P|none] [--service-file P|none] \
      [--convsearch-file P|none] [--inline-file P|none] [--history P|none] \
-     [--warm-floor X] [--wave-floor X] [--allocs-floor X] \
+     [--warm-floor X] [--allocs-floor X] \
      [--service-throughput-floor X] [--service-warm-floor X] \
      [--service-p99-ceiling-us N]"
 }
@@ -73,14 +70,12 @@ fn total_of(path: &str, key: &str) -> Result<f64, String> {
 fn real_main() -> Result<ExitCode, String> {
     let mut check = false;
     let mut cache_file = "BENCH_cache.json".to_string();
-    let mut waves_file = "BENCH_waves.json".to_string();
     let mut allocs_file = Some("BENCH_allocs.json".to_string());
     let mut service_file = Some("BENCH_service.json".to_string());
     let mut convsearch_file = Some("BENCH_convsearch.json".to_string());
     let mut inline_file = Some("BENCH_inline.json".to_string());
     let mut history = Some("BENCH_history.jsonl".to_string());
     let mut warm_floor = 3.0f64;
-    let mut wave_floor = 0.0f64;
     let mut allocs_floor = 0.5f64;
     let mut service_throughput_floor = 5.0f64;
     let mut service_warm_floor = 0.25f64;
@@ -91,7 +86,6 @@ fn real_main() -> Result<ExitCode, String> {
         match a.as_str() {
             "--check-budgets" => check = true,
             "--cache-file" => cache_file = args.next().ok_or_else(|| usage().to_string())?,
-            "--waves-file" => waves_file = args.next().ok_or_else(|| usage().to_string())?,
             "--allocs-file" => {
                 let p = args.next().ok_or_else(|| usage().to_string())?;
                 allocs_file = (p != "none").then_some(p);
@@ -117,12 +111,6 @@ fn real_main() -> Result<ExitCode, String> {
                     .next()
                     .and_then(|v| v.trim().parse().ok())
                     .ok_or("--warm-floor needs a number")?
-            }
-            "--wave-floor" => {
-                wave_floor = args
-                    .next()
-                    .and_then(|v| v.trim().parse().ok())
-                    .ok_or("--wave-floor needs a number")?
             }
             "--allocs-floor" => {
                 allocs_floor = args
@@ -172,12 +160,6 @@ fn real_main() -> Result<ExitCode, String> {
         "warm-cache speedup",
         total_of(&cache_file, "warm_speedup")?,
         warm_floor,
-        "x",
-    );
-    gate(
-        "wave-scheduler speedup",
-        total_of(&waves_file, "speedup")?,
-        wave_floor,
         "x",
     );
     if let Some(path) = &allocs_file {

@@ -113,13 +113,13 @@ fn main() -> ExitCode {
             (w.name.to_string(), m)
         })
         .collect();
-    // The wide synthetic call DAG from `wave_speedup` (255 functions): the
-    // best case for caching, and the worst case for recompiling.
+    // A wide synthetic call DAG (255 functions): the best case for
+    // caching, and the worst case for recompiling.
     modules.push(("tree-8x2".into(), synth::call_tree_program(7, 2, 8, 1)));
 
     let dir = std::env::temp_dir().join(format!("ipra-cache-bench-{}", std::process::id()));
     let base = Config::c();
-    println!("incremental cache speedup — best of {reps} reps, serial (jobs=1)");
+    println!("incremental cache speedup — best of {reps} reps");
     println!(
         "{:<10} {:>6} | {:>10} {:>10} {:>10} | {:>8} {:>8}",
         "program", "funcs", "cold(us)", "warm(us)", "1-edit(us)", "warm-x", "edit-x"
@@ -129,7 +129,6 @@ fn main() -> ExitCode {
     for (name, module) in &modules {
         let cache_dir = dir.join(name);
         let mut cfg = base.clone();
-        cfg.opts.jobs = 1;
         cfg.opts.cache_dir = Some(cache_dir.clone());
 
         // Cold: empty cache every rep (includes the write-back cost).

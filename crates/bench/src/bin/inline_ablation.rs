@@ -1,9 +1,8 @@
 //! `inline_ablation` — the three-leg inlining × IPRA ablation.
 //!
 //! ```text
-//! inline_ablation [--small] [--jobs <n>] [--out <path>] [--history <path>]
+//! inline_ablation [--small] [--out <path>] [--history <path>]
 //!   --small        only the three smallest workloads (CI smoke runs)
-//!   --jobs <n>     wave-scheduler worker threads (0 = auto, 1 = serial)
 //!   --out <path>   artifact path (default BENCH_inline.json)
 //!   --history <p>  trajectory file to append one summary line to
 //!                  (default BENCH_history.jsonl; `--history none` skips)
@@ -22,22 +21,17 @@ use ipra_bench::inline_ablation::{ablation_to_json, run_ablation};
 use ipra_bench::{append_history, history_entry};
 
 fn usage() -> &'static str {
-    "usage: inline_ablation [--small] [--jobs N] [--out PATH] [--history PATH|none]"
+    "usage: inline_ablation [--small] [--out PATH] [--history PATH|none]"
 }
 
 fn real_main() -> Result<(), String> {
     let mut small = false;
-    let mut jobs = None;
     let mut out = PathBuf::from("BENCH_inline.json");
     let mut history = Some("BENCH_history.jsonl".to_string());
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--small" => small = true,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a count")?;
-                jobs = Some(v.trim().parse::<usize>().map_err(|_| "bad --jobs count")?);
-            }
             "--out" => out = PathBuf::from(args.next().ok_or("--out needs a path")?),
             "--history" => {
                 let p = args.next().ok_or("--history needs a path")?;
@@ -57,7 +51,7 @@ fn real_main() -> Result<(), String> {
         }
     };
 
-    let rows = run_ablation(&workloads, jobs)?;
+    let rows = run_ablation(&workloads)?;
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>7} {:>7}",
         "workload", "penalty-off", "penalty-inl", "penalty-i+I", "sites", "stops"

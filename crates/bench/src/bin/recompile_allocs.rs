@@ -99,7 +99,7 @@ fn main() -> ExitCode {
         .collect();
 
     let dir = std::env::temp_dir().join(format!("ipra-alloc-bench-{}", std::process::id()));
-    println!("warm-recompile heap allocations — fresh pipeline vs reused pipeline, jobs=1");
+    println!("warm-recompile heap allocations — fresh pipeline vs reused pipeline");
     println!(
         "{:<10} {:>6} | {:>10} {:>12} | {:>10} {:>12} | {:>9}",
         "program", "funcs", "allocs", "bytes", "allocs'", "bytes'", "reduction"
@@ -108,7 +108,6 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     for (name, module) in &modules {
         let mut cfg = Config::c();
-        cfg.opts.jobs = 1;
         let cache_dir = dir.join(name);
         let _ = std::fs::remove_dir_all(&cache_dir);
         cfg.opts.cache_dir = Some(cache_dir);

@@ -2,7 +2,7 @@
 //! loads/stores for configurations A, B, C relative to -O2 baseline.
 //!
 //! Flags: `--small` (three smallest workloads), `--trace-json <dir>` (dump
-//! one JSON compile trace per configuration), `--jobs <n>`.
+//! one JSON compile trace per configuration).
 
 use std::process::ExitCode;
 
@@ -24,12 +24,8 @@ fn main() -> ExitCode {
     );
     for w in args.workloads() {
         let module = ipra_workloads::compile_workload(w).expect("workload compiles");
-        let configs = [
-            args.apply(Config::a()),
-            args.apply(Config::b()),
-            args.apply(Config::c()),
-        ];
-        let base = args.apply(Config::o2_base());
+        let configs = [Config::a(), Config::b(), Config::c()];
+        let base = Config::o2_base();
         let row = table_row(w.name, &module, &base, &configs);
         println!(
             "{:<10} {:>11.0} | {:>6.1}% {:>6.1}% {:>6.1}% | {:>6.1}% {:>6.1}% {:>6.1}%",

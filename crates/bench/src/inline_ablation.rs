@@ -100,25 +100,21 @@ fn run_leg(
     Ok((result, r.block_profile))
 }
 
-/// Runs the full three-leg ablation over `workloads`, applying a `--jobs`
-/// override when given.
+/// Runs the full three-leg ablation over `workloads`.
 ///
 /// # Errors
 ///
 /// Returns an error on a simulator trap or on a cross-leg output
 /// mismatch — both indicate an inliner or allocator bug, and the caller
 /// (binary or test) must fail loudly.
-pub fn run_ablation(
-    workloads: &[Workload],
-    jobs: Option<usize>,
-) -> Result<Vec<AblationRow>, String> {
+pub fn run_ablation(workloads: &[Workload]) -> Result<Vec<AblationRow>, String> {
     let mut corpus = Vec::new();
     for w in workloads {
         let module =
             ipra_frontend::compile(w.source).map_err(|e| format!("[{}] frontend: {e}", w.name))?;
         corpus.push((w.name.to_string(), module));
     }
-    run_ablation_modules(&corpus, jobs, None)
+    run_ablation_modules(&corpus, None)
 }
 
 /// The ablation over already-compiled modules — the entry point the
@@ -133,7 +129,6 @@ pub fn run_ablation(
 /// Same contract as [`run_ablation`].
 pub fn run_ablation_modules(
     corpus: &[(String, ipra_ir::Module)],
-    jobs: Option<usize>,
     cache_dir: Option<&std::path::Path>,
 ) -> Result<Vec<AblationRow>, String> {
     let mut rows = Vec::new();
@@ -141,9 +136,6 @@ pub fn run_ablation_modules(
         let mut legs: Vec<LegResult> = Vec::new();
         let mut profile: Option<Vec<Vec<u64>>> = None;
         for (i, (leg, mut config)) in ablation_configs().into_iter().enumerate() {
-            if let Some(j) = jobs {
-                config.opts.jobs = j;
-            }
             if let Some(dir) = cache_dir {
                 config.opts.cache_dir = Some(dir.join(name));
             }
@@ -247,7 +239,7 @@ mod tests {
     #[test]
     fn small_corpus_ablation_is_sound_and_gateable() {
         let workloads: Vec<_> = ipra_workloads::all().into_iter().take(2).collect();
-        let rows = run_ablation(&workloads, Some(1)).unwrap();
+        let rows = run_ablation(&workloads).unwrap();
         assert_eq!(rows.len(), 2);
         let doc = ablation_to_json(&rows);
         let total = doc.get("total").unwrap();
@@ -263,7 +255,7 @@ mod tests {
     #[test]
     fn off_leg_reports_no_inliner_activity() {
         let workloads: Vec<_> = ipra_workloads::all().into_iter().take(1).collect();
-        let rows = run_ablation(&workloads, Some(1)).unwrap();
+        let rows = run_ablation(&workloads).unwrap();
         assert_eq!(rows[0].legs[0].sites_considered, 0);
         assert_eq!(rows[0].legs[0].sites_inlined, 0);
     }

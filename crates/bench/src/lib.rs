@@ -3,12 +3,11 @@
 //! The table binaries share a tiny CLI:
 //!
 //! ```text
-//! table1 [--small] [--trace-json <dir>] [--jobs <n>]
+//! table1 [--small] [--trace-json <dir>]
 //!   --small             only the three smallest workloads (CI smoke runs)
 //!   --trace-json <dir>  also run each configuration traced and write one
 //!                       JSON compile trace per (workload, configuration)
 //!                       to <dir>/<workload>-<config>.json
-//!   --jobs <n>          wave-scheduler worker threads (0 = auto, 1 = serial)
 //! ```
 
 pub mod alloc_meter;
@@ -28,8 +27,6 @@ pub struct TableArgs {
     pub small: bool,
     /// Directory to dump one JSON compile trace per configuration into.
     pub trace_json: Option<PathBuf>,
-    /// Wave-scheduler worker override applied to every configuration.
-    pub jobs: Option<usize>,
 }
 
 /// Parses the shared table-binary flags.
@@ -38,7 +35,7 @@ pub struct TableArgs {
 ///
 /// Returns a usage message on unknown flags or missing operands.
 pub fn parse_table_args(args: impl Iterator<Item = String>) -> Result<TableArgs, String> {
-    const USAGE: &str = "usage: table [--small] [--trace-json DIR] [--jobs N]";
+    const USAGE: &str = "usage: table [--small] [--trace-json DIR]";
     let mut parsed = TableArgs::default();
     let mut args = args;
     while let Some(a) = args.next() {
@@ -47,10 +44,6 @@ pub fn parse_table_args(args: impl Iterator<Item = String>) -> Result<TableArgs,
             "--trace-json" => {
                 let dir = args.next().ok_or("--trace-json needs a directory")?;
                 parsed.trace_json = Some(PathBuf::from(dir));
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a count")?;
-                parsed.jobs = Some(v.trim().parse::<usize>().map_err(|_| "bad --jobs count")?);
             }
             "-h" | "--help" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown option `{other}`\n{USAGE}")),
@@ -71,14 +64,6 @@ impl TableArgs {
         } else {
             all
         }
-    }
-
-    /// Applies the `--jobs` override to a configuration.
-    pub fn apply(&self, mut config: Config) -> Config {
-        if let Some(j) = self.jobs {
-            config.opts.jobs = j;
-        }
-        config
     }
 }
 
@@ -165,7 +150,7 @@ mod tests {
     fn history_appends_and_reads_back_in_order() {
         let path = std::env::temp_dir().join(format!("ipra-hist-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        for (i, name) in ["cache_speedup", "wave_speedup"].iter().enumerate() {
+        for (i, name) in ["cache_speedup", "recompile_allocs"].iter().enumerate() {
             let e = history_entry(
                 name,
                 1_700_000_000_000 + i as u128,
@@ -199,7 +184,6 @@ mod tests {
         let a = parse(&[]);
         assert!(!a.small);
         assert!(a.trace_json.is_none());
-        assert!(a.jobs.is_none());
         assert_eq!(a.workloads().len(), 13);
     }
 
@@ -211,17 +195,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_json_and_jobs_parse() {
-        let a = parse(&["--trace-json", "out/traces", "--jobs", "4"]);
+    fn trace_json_parses() {
+        let a = parse(&["--trace-json", "out/traces"]);
         assert_eq!(a.trace_json.as_deref(), Some(Path::new("out/traces")));
-        assert_eq!(a.jobs, Some(4));
-        let c = a.apply(Config::c());
-        assert_eq!(c.opts.jobs, 4);
     }
 
     #[test]
     fn unknown_flag_is_rejected() {
         assert!(parse_table_args(["--frobnicate".to_string()].into_iter()).is_err());
+        assert!(parse_table_args(["--jobs".to_string(), "4".to_string()].into_iter()).is_err());
     }
 
     #[test]

@@ -133,10 +133,8 @@ impl SccInfo {
     /// DAG): level 0 holds the components with no calls outside themselves;
     /// a component's level is one more than the deepest level it calls
     /// into. All components of one level are mutually independent — none
-    /// (transitively) calls another — so once every lower level is
-    /// summarized, a whole level can be allocated in parallel without
-    /// violating the paper's bottom-up invariant (callee summaries ready
-    /// at every call site).
+    /// (transitively) calls another. The number of levels is the static
+    /// call depth that the workload generators report.
     ///
     /// Returns component indices into [`SccInfo::components`], each level
     /// sorted ascending (bottom-up order within the level).

@@ -10,9 +10,9 @@
 //! produces the *same* key in every caller, and invalidation stops there
 //! (early cutoff) without any explicit propagation machinery.
 //!
-//! The unit of caching is the SCC component, matching the unit of work of
-//! the wave scheduler: members of a mutual-recursion component see each
-//! other during allocation, so they hit or miss together.
+//! The unit of caching is the SCC component: members of a mutual-recursion
+//! component see each other during allocation, so they hit or miss
+//! together.
 //!
 //! Persistence is *sharded*: one JSON document per component entry
 //! (`<key>.ce.json` under the cache directory), written through the
@@ -96,7 +96,7 @@ pub struct CachedFunc {
 
 /// Fingerprint of everything outside the IR that allocation output depends
 /// on: the register file, the cost model, and every [`AllocOptions`] field
-/// except `jobs` and `cache_dir` (which never change the produced code).
+/// except `cache_dir` (which never changes the produced code).
 pub fn config_fingerprint(target: &Target, opts: &AllocOptions) -> u64 {
     let mut h = Fnv64::new();
     h.write_i64(CACHE_FORMAT_VERSION);
@@ -1042,8 +1042,7 @@ mod tests {
             o3,
             config_fingerprint(&Target::with_class_limits(7, 0), &AllocOptions::o3())
         );
-        // jobs and cache_dir do not affect output, so not the key either.
-        assert_eq!(o3, config_fingerprint(&t, &AllocOptions::o3().with_jobs(4)));
+        // cache_dir does not affect output, so not the key either.
         assert_eq!(
             o3,
             config_fingerprint(&t, &AllocOptions::o3().with_cache_dir("/tmp/c"))

@@ -47,17 +47,12 @@ pub struct AllocOptions {
     /// Per-caller growth budget for the inliner, in instructions. Only
     /// consulted when inlining is (effectively) on.
     pub inline_budget: u32,
-    /// Worker threads for the wave scheduler: `0` picks
-    /// `std::thread::available_parallelism`, `1` forces the serial path.
-    /// Results are bit-identical for every value. The `IPRA_JOBS`
-    /// environment variable overrides this field when set.
-    pub jobs: usize,
     /// Directory for the incremental allocation cache (`ipra-cache.json`
     /// inside it). `None` disables caching. The `IPRA_CACHE` environment
     /// variable supplies a directory when this field is `None`. Warm
     /// compiles are bit-identical to cold ones; the cache key covers the
-    /// function body, every option in this struct (except `jobs` and
-    /// `cache_dir` themselves), the target, and all callee summaries.
+    /// function body, every option in this struct (except `cache_dir`
+    /// itself), the target, and all callee summaries.
     pub cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -73,7 +68,6 @@ impl AllocOptions {
             forced_open: HashSet::new(),
             inline: false,
             inline_budget: crate::inline::DEFAULT_INLINE_BUDGET,
-            jobs: 0,
             cache_dir: None,
         }
     }
@@ -114,7 +108,6 @@ impl AllocOptions {
             forced_open: HashSet::new(),
             inline: false,
             inline_budget: crate::inline::DEFAULT_INLINE_BUDGET,
-            jobs: 0,
             cache_dir: None,
         }
     }
@@ -151,12 +144,6 @@ impl AllocOptions {
         }
     }
 
-    /// Sets the wave-scheduler worker count (see [`AllocOptions::jobs`]).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
     /// Enables the incremental allocation cache rooted at `dir`.
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -175,19 +162,12 @@ impl AllocOptions {
         }
     }
 
-    /// Resolves [`AllocOptions::jobs`] to a concrete worker count:
-    /// `IPRA_JOBS` (when set and parseable) wins, then the field; `0`
-    /// means "ask the OS", clamped to at least 1.
+    /// Threads one compile uses: always `1`. A compile allocates its
+    /// functions in bottom-up order on the calling thread; concurrency
+    /// lives across compiles (`mini-ccd` requests). Kept so tools that
+    /// record the host setup can report it.
     pub fn effective_jobs(&self) -> usize {
-        let requested = std::env::var("IPRA_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(self.jobs);
-        if requested == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            requested
-        }
+        1
     }
 }
 
@@ -250,12 +230,8 @@ mod tests {
 
     #[test]
     fn jobs_resolution() {
-        // Note: assumes IPRA_JOBS is unset in the test environment.
-        if std::env::var_os("IPRA_JOBS").is_some() {
-            return;
-        }
-        assert_eq!(AllocOptions::o3().with_jobs(3).effective_jobs(), 3);
-        assert_eq!(AllocOptions::o3().with_jobs(1).effective_jobs(), 1);
-        assert!(AllocOptions::o3().with_jobs(0).effective_jobs() >= 1);
+        // One thread per compile, whatever the environment says.
+        assert_eq!(AllocOptions::o3().effective_jobs(), 1);
+        assert_eq!(AllocOptions::no_alloc().effective_jobs(), 1);
     }
 }

@@ -7,29 +7,18 @@
 //! driver also runs the intra-procedural and no-allocation configurations,
 //! which simply never consult summaries.
 //!
-//! # Wave scheduling
-//!
-//! The bottom-up invariant only orders a function after its callees;
-//! functions whose callees are all summarized are mutually independent.
-//! The driver therefore partitions the SCC condensation into levels
-//! ([`SccInfo::levels`]) and fans each level out across scoped worker
-//! threads when [`AllocOptions::jobs`] resolves to more than one. The unit
-//! of work is the *component*, not the function: members of a multi-node
-//! SCC see each other's whole-tree usage in serial processing order, so a
-//! worker replays that order against a private copy of the environment.
-//! Workers collect their own observability shards; the driver merges
-//! summaries and shards in `FuncId` order, making output, reports, and
-//! traces independent of thread scheduling — bit-identical to `jobs = 1`.
+//! Everything runs on the calling thread. One allocation takes tens of
+//! microseconds, less than a thread spawn, so the only concurrency is
+//! across compiles (`mini-ccd` sessions sharing one [`Pipeline`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ipra_callgraph::{CallGraph, OpenReason, Openness, SccInfo};
 use ipra_ir::{hash_all_functions, EntityVec, FuncId, Module};
-use ipra_machine::{MFunction, MModule, RegMask, Target};
+use ipra_machine::{MModule, RegMask, Target};
 
 use crate::alloc::{allocate_function_with, FuncArtifacts, SummaryEnv};
-use crate::analysis::{AnalysisCache, AnalysisStats};
+use crate::analysis::AnalysisStats;
 use crate::cache::{component_key, config_fingerprint, AllocCache, CacheStats, CachedFunc};
 use crate::config::{AllocMode, AllocOptions};
 use crate::inline::{inline_hot_calls, InlineStats};
@@ -37,7 +26,6 @@ use crate::lower::lower_function_with;
 use crate::normalize::normalize_entries;
 use crate::pipeline::{Pipeline, PreparedModule};
 use crate::promote::{promote_globals, PromotionStats};
-use crate::scratch::{CompileScratch, ScratchPool};
 use crate::summary::FuncSummary;
 
 /// Per-function diagnostics of one compilation.
@@ -208,27 +196,22 @@ pub(crate) fn compile_module_impl(
     scc.record_stats();
     openness.record_stats();
 
-    // Flight-recorder shape of the traversal. Recorded from the SCC
-    // structure itself (not from the scheduler) so serial and wave
-    // compilations produce identical metrics.
+    // Flight-recorder shape of the traversal.
     if ipra_obs::is_enabled() {
         for comp in &scc.components {
             ipra_obs::metric_observe("callgraph.scc_size", &[], comp.len() as u64);
-        }
-        for wave in scc.levels(cg) {
-            ipra_obs::metric_observe("wave.width", &[], wave.len() as u64);
         }
     }
 
     let inter = opts.mode == AllocMode::Inter;
     let n = module.funcs.len();
-    let jobs = opts.effective_jobs();
+    let is_open = |fid: FuncId| {
+        !inter || opts.forced_open.contains(&module.funcs[fid].name) || openness.is_open(fid)
+    };
     let mut env = SummaryEnv::default();
 
-    // Incremental cache (see `crate::cache`). When enabled, compilation
-    // always takes the wave path below — the per-wave lookup needs the
-    // environment frozen at wave boundaries — and stays bit-identical to
-    // the serial path for any hit/miss pattern.
+    // Incremental cache (see `crate::cache`). A component's key reads only
+    // its external callees, which bottom-up order has already finished.
     let mut cache = opts.effective_cache_dir().map(|d| AllocCache::load(&d));
     let fingerprint = if cache.is_some() {
         config_fingerprint(target, opts)
@@ -240,165 +223,46 @@ pub(crate) fn compile_module_impl(
         ..CacheStats::default()
     };
     let mut recompiled = vec![false; n];
-    let mut miss_records: Vec<(u64, Vec<FuncId>)> = Vec::new();
+    let mut miss_records: Vec<(u64, &[FuncId])> = Vec::new();
 
     let mut results: Vec<Option<FuncResult>> = (0..n).map(|_| None).collect();
+    let mut scratch = pipe.scratch.acquire();
 
-    if jobs <= 1 && cache.is_none() {
-        // Serial path: one pass over the flat bottom-up order, one
-        // scratch checked out for the whole pass.
-        let mut scratch = pipe.scratch.acquire();
-        for fid in scc.bottom_up_order() {
-            let _obs = ipra_obs::scope(&module.funcs[fid].name);
-            let forced = opts.forced_open.contains(&module.funcs[fid].name);
-            let is_open = !inter || forced || openness.is_open(fid);
-            let art = allocate_function_with(
+    for comp in &scc.components {
+        if let Some(c) = &cache {
+            let key = component_key(
                 module,
-                fid,
-                target,
-                opts,
+                body_hashes,
+                comp,
                 is_open,
+                fingerprint,
+                inter,
                 &env,
-                profile.map(|p| p[fid.index()].as_slice()),
-                &pipe.analyses,
-                body_hashes[fid.index()],
-                &mut scratch,
+                profile,
             );
-            if inter && !is_open {
-                env.summaries.insert(fid, art.alloc.summary.clone());
-            }
-            env.tree_used.insert(fid, art.alloc.tree_used);
-            results[fid.index()] = Some(FuncResult::Fresh(Box::new(art)));
-        }
-        pipe.scratch.release(scratch);
-    } else {
-        // Wave scheduler: every component of a level has all its callees
-        // summarized, so a whole level fans out at once. `env` is frozen
-        // (shared read-only) while a wave runs and updated between waves
-        // in FuncId order, so results match the serial path bit for bit.
-        let tracing = ipra_obs::is_enabled();
-        for wave in scc.levels(cg) {
-            let comps: Vec<&[FuncId]> = wave
-                .iter()
-                .map(|&ci| scc.components[ci].as_slice())
-                .collect();
-
-            // Cache lookup, serial and deterministic, against the frozen
-            // environment (every external callee lives in a lower wave).
-            // The pipeline's in-memory entry image is consulted first; a
-            // disk hit is decoded once and promoted into it, so a warm
-            // recompile through a persistent [`Pipeline`] never rereads
-            // or reparses the cache directory.
-            let mut comp_keys = vec![0u64; comps.len()];
-            let mut hits: Vec<Option<Arc<Vec<CachedFunc>>>> =
-                (0..comps.len()).map(|_| None).collect();
-            if let Some(c) = &cache {
-                for (i, comp) in comps.iter().enumerate() {
-                    let key = component_key(
-                        module,
-                        body_hashes,
-                        comp,
-                        |fid| {
-                            let forced = opts.forced_open.contains(&module.funcs[fid].name);
-                            !inter || forced || openness.is_open(fid)
-                        },
-                        fingerprint,
-                        inter,
-                        &env,
-                        profile,
-                    );
-                    comp_keys[i] = key;
-                    // The names guard against FNV collisions and stale
-                    // entries; a mismatch is just a miss.
-                    let matches = |funcs: &[CachedFunc]| {
-                        funcs.len() == comp.len()
-                            && funcs
-                                .iter()
-                                .zip(comp.iter())
-                                .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
-                    };
-                    let memo = pipe.entries.lock().unwrap().get(&key).cloned();
-                    if let Some(funcs) = memo {
-                        if matches(&funcs) {
-                            hits[i] = Some(funcs);
-                            continue;
-                        }
-                    }
-                    if let Some(funcs) = c.lookup(key, module) {
-                        if matches(&funcs) {
-                            let funcs = Arc::new(funcs);
-                            pipe.entries.lock().unwrap().insert(key, Arc::clone(&funcs));
-                            hits[i] = Some(funcs);
-                        }
-                    }
-                }
-            }
-
-            // Fan the misses out across the workers.
-            let miss_idx: Vec<usize> = (0..comps.len()).filter(|&i| hits[i].is_none()).collect();
-            let mut fresh = run_tasks(jobs, miss_idx.len(), &pipe.scratch, |out, scratch, t| {
-                alloc_component(
-                    module,
-                    comps[miss_idx[t]],
-                    target,
-                    opts,
-                    inter,
-                    openness,
-                    &env,
-                    profile,
-                    tracing,
-                    &pipe.analyses,
-                    body_hashes,
-                    scratch,
-                    out,
-                );
-            });
-            fresh.sort_by_key(|(fid, _, _)| fid.index());
-            if cache.is_some() {
-                for &i in &miss_idx {
-                    miss_records.push((comp_keys[i], comps[i].to_vec()));
-                }
-            }
-
-            // Deterministic merge: interleave the hit and miss streams in
-            // FuncId order so the environment, observability records and
-            // counters come out independent of thread scheduling.
-            let mut hit_funcs: Vec<(FuncId, Arc<Vec<CachedFunc>>, usize)> = Vec::new();
-            for (i, h) in hits.into_iter().enumerate() {
-                if let Some(funcs) = h {
-                    for (m, &fid) in comps[i].iter().enumerate() {
-                        hit_funcs.push((fid, Arc::clone(&funcs), m));
-                    }
-                }
-            }
-            hit_funcs.sort_by_key(|(fid, _, _)| fid.index());
-            let mut fresh_it = fresh.into_iter().peekable();
-            let mut hit_it = hit_funcs.into_iter().peekable();
-            loop {
-                let take_fresh = match (fresh_it.peek(), hit_it.peek()) {
-                    (Some((f, _, _)), Some((h, _, _))) => f.index() < h.index(),
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if take_fresh {
-                    let (fid, art, shard) = fresh_it.next().expect("peeked");
-                    if inter && !art.alloc.is_open {
-                        env.summaries.insert(fid, art.alloc.summary.clone());
-                    }
-                    env.tree_used.insert(fid, art.alloc.tree_used);
-                    ipra_obs::absorb(shard);
-                    recompiled[fid.index()] = true;
-                    if cache.is_some() {
-                        cache_stats.misses += 1;
-                        cache_stats.recompiled.push(module.funcs[fid].name.clone());
-                        let _obs = ipra_obs::scope(&module.funcs[fid].name);
-                        ipra_obs::counter("cache.miss", 1);
-                        ipra_obs::metric_counter("cache.lookup", &[("result", "miss")], 1);
-                    }
-                    results[fid.index()] = Some(FuncResult::Fresh(Box::new(art)));
-                } else {
-                    let (fid, entry, idx) = hit_it.next().expect("peeked");
+            // The names guard against FNV collisions and stale entries; a
+            // mismatch is just a miss. The pipeline's in-memory entry
+            // image is consulted first; a disk hit is decoded once and
+            // promoted into it, so a warm recompile through a persistent
+            // [`Pipeline`] never rereads or reparses the cache directory.
+            let matches = |funcs: &[CachedFunc]| {
+                funcs.len() == comp.len()
+                    && funcs
+                        .iter()
+                        .zip(comp)
+                        .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
+            };
+            let memo = pipe.entries.lock().unwrap().get(&key).cloned();
+            let hit = match memo {
+                Some(funcs) if matches(&funcs) => Some(funcs),
+                _ => c.lookup(key, module).filter(|f| matches(f)).map(|funcs| {
+                    let funcs = Arc::new(funcs);
+                    pipe.entries.lock().unwrap().insert(key, Arc::clone(&funcs));
+                    funcs
+                }),
+            };
+            if let Some(entry) = hit {
+                for (idx, &fid) in comp.iter().enumerate() {
                     let cf = &entry[idx];
                     if inter && !cf.is_open {
                         env.summaries.insert(fid, cf.summary.clone());
@@ -409,62 +273,62 @@ pub(crate) fn compile_module_impl(
                     // cutoff: the callee changed but its summary bytes did
                     // not, so invalidation stopped here.
                     let cutoff = cg.callees(fid).iter().any(|c| recompiled[c.index()]);
-                    {
-                        let _obs = ipra_obs::scope(&module.funcs[fid].name);
-                        let _t = ipra_obs::span("cache.hit");
-                        ipra_obs::counter("cache.hit", 1);
-                        ipra_obs::metric_counter("cache.lookup", &[("result", "hit")], 1);
-                        if cutoff {
-                            cache_stats.cutoffs += 1;
-                            ipra_obs::counter("cache.cutoff", 1);
-                            ipra_obs::metric_counter("cache.lookup", &[("result", "cutoff")], 1);
-                        }
+                    let _obs = ipra_obs::scope(&module.funcs[fid].name);
+                    let _t = ipra_obs::span("cache.hit");
+                    ipra_obs::counter("cache.hit", 1);
+                    ipra_obs::metric_counter("cache.lookup", &[("result", "hit")], 1);
+                    if cutoff {
+                        cache_stats.cutoffs += 1;
+                        ipra_obs::counter("cache.cutoff", 1);
+                        ipra_obs::metric_counter("cache.lookup", &[("result", "cutoff")], 1);
                     }
-                    results[fid.index()] = Some(FuncResult::Cached(entry, idx));
+                    results[fid.index()] = Some(FuncResult::Cached(Arc::clone(&entry), idx));
                 }
+                continue;
             }
+            miss_records.push((key, comp));
+        }
+
+        // Members of a multi-node SCC see each other's whole-tree usage in
+        // this order, which the cache key's member order mirrors.
+        for &fid in comp {
+            let _obs = ipra_obs::scope(&module.funcs[fid].name);
+            let art = allocate_function_with(
+                module,
+                fid,
+                target,
+                opts,
+                is_open(fid),
+                &env,
+                profile.map(|p| p[fid.index()].as_slice()),
+                &pipe.analyses,
+                body_hashes[fid.index()],
+                &mut scratch,
+            );
+            if inter && !art.alloc.is_open {
+                env.summaries.insert(fid, art.alloc.summary.clone());
+            }
+            env.tree_used.insert(fid, art.alloc.tree_used);
+            recompiled[fid.index()] = true;
+            if cache.is_some() {
+                cache_stats.misses += 1;
+                ipra_obs::counter("cache.miss", 1);
+                ipra_obs::metric_counter("cache.lookup", &[("result", "miss")], 1);
+            }
+            results[fid.index()] = Some(FuncResult::Fresh(Box::new(art)));
         }
     }
-
-    // Lowering is embarrassingly parallel: the artifacts are frozen now.
-    // Cache hits already carry their lowered code and skip this entirely.
-    let fresh_ids: Vec<usize> = (0..n)
-        .filter(|&i| matches!(results[i], Some(FuncResult::Fresh(_))))
-        .collect();
-    let tracing = ipra_obs::is_enabled();
-    let mut lowered_parts = run_tasks(jobs, fresh_ids.len(), &pipe.scratch, |out, scratch, t| {
-        let fi = fresh_ids[t];
-        let fid = FuncId(fi as u32);
-        let func = &module.funcs[fid];
-        let Some(FuncResult::Fresh(art)) = &results[fi] else {
-            unreachable!("fresh_ids only lists fresh results");
-        };
-        // Shard capture only on sink-less worker threads; inline
-        // execution records straight into the driver's sink (see
-        // `alloc_component`).
-        let capture = tracing && !ipra_obs::is_enabled();
-        if capture {
-            ipra_obs::enable();
-        }
-        let mf = {
-            let _obs = ipra_obs::scope(&func.name);
-            let _t = ipra_obs::span("lower");
-            lower_function_with(module, func, target, art, scratch)
-        };
-        let shard = if capture {
-            ipra_obs::disable()
-        } else {
-            ipra_obs::Trace::default()
-        };
-        out.push((fi, mf, shard));
-    });
-    lowered_parts.sort_by_key(|(i, _, _)| *i);
-    let mut lowered: Vec<Option<MFunction>> = (0..n).map(|_| None).collect();
-    for (i, mf, shard) in lowered_parts {
-        ipra_obs::absorb(shard);
-        lowered[i] = Some(mf);
+    if cache.is_some() {
+        cache_stats.recompiled = module
+            .funcs
+            .iter()
+            .filter(|(fid, _)| recompiled[fid.index()])
+            .map(|(_, f)| f.name.clone())
+            .collect();
     }
 
+    // Lowering and reporting, in FuncId order. Cache hits already carry
+    // their lowered code.
     let mut funcs = EntityVec::new();
     let mut summaries = Vec::with_capacity(n);
     let mut clobber_masks = Vec::with_capacity(n);
@@ -484,7 +348,11 @@ pub(crate) fn compile_module_impl(
                 } else {
                     analysis.misses += 1;
                 }
-                funcs.push(lowered[fid.index()].take().expect("fresh function lowered"));
+                funcs.push({
+                    let _obs = ipra_obs::scope(&func.name);
+                    let _t = ipra_obs::span("lower");
+                    lower_function_with(module, func, target, art, &mut scratch)
+                });
                 let a = &art.alloc;
                 summaries.push(a.summary.clone());
                 clobber_masks.push(if inter && !a.is_open {
@@ -541,6 +409,7 @@ pub(crate) fn compile_module_impl(
             }
         }
     }
+    pipe.scratch.release(scratch);
 
     // Store every miss back into the cache, keyed by the lookup-time key.
     if let Some(cache) = &mut cache {
@@ -591,143 +460,4 @@ pub(crate) fn compile_module_impl(
         cache: cache_stats,
         analysis,
     }
-}
-
-/// Fans `tasks` indices out across at most `jobs` scoped worker threads.
-/// Workers pull indices from a shared counter and append results into
-/// their own vector; the concatenation is returned in arbitrary order
-/// (callers sort by `FuncId` before consuming). Each worker checks one
-/// [`CompileScratch`] out of the pool for its whole run, so per-task
-/// buffers are recycled instead of reallocated.
-fn run_tasks<T: Send>(
-    jobs: usize,
-    tasks: usize,
-    pool: &ScratchPool,
-    work: impl Fn(&mut Vec<T>, &mut CompileScratch, usize) + Sync,
-) -> Vec<T> {
-    let workers = jobs.min(tasks).max(1);
-    if workers == 1 {
-        // Narrow wave (or serial request): run inline, no thread overhead.
-        let mut out = Vec::new();
-        let mut scratch = pool.acquire();
-        for t in 0..tasks {
-            work(&mut out, &mut scratch, t);
-        }
-        pool.release(scratch);
-        return out;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    let mut scratch = pool.acquire();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks {
-                            break;
-                        }
-                        work(&mut out, &mut scratch, t);
-                    }
-                    pool.release(scratch);
-                    out
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(part) => all.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        all
-    })
-}
-
-/// Allocates one SCC on a worker thread. Members of a multi-node SCC
-/// observe each other's whole-tree register usage in serial order, so the
-/// component replays that order against a private copy of the environment
-/// (multi-node SCCs are rare; singletons use the shared snapshot
-/// directly). Each member's observability records are collected into a
-/// per-function shard for deterministic merging by the driver.
-#[allow(clippy::too_many_arguments)]
-fn alloc_component(
-    module: &Module,
-    comp: &[FuncId],
-    target: &Target,
-    opts: &AllocOptions,
-    inter: bool,
-    openness: &Openness,
-    env: &SummaryEnv,
-    profile: Option<&[Vec<u64>]>,
-    tracing: bool,
-    analyses: &AnalysisCache,
-    body_hashes: &[u64],
-    scratch: &mut CompileScratch,
-    out: &mut Vec<(FuncId, FuncArtifacts, ipra_obs::Trace)>,
-) {
-    let mut overlay: Option<SummaryEnv> = if comp.len() > 1 {
-        Some(env.clone())
-    } else {
-        None
-    };
-    for &fid in comp {
-        // On a spawned worker the thread has no sink: install one and
-        // return its records as a shard. When the task runs inline on the
-        // driver thread (narrow wave), the driver's own sink is already
-        // installed and records flow into it directly — enabling here
-        // would wipe it.
-        let capture = tracing && !ipra_obs::is_enabled();
-        if capture {
-            ipra_obs::enable();
-        }
-        let art = {
-            let _obs = ipra_obs::scope(&module.funcs[fid].name);
-            let forced = opts.forced_open.contains(&module.funcs[fid].name);
-            let is_open = !inter || forced || openness.is_open(fid);
-            allocate_function_with(
-                module,
-                fid,
-                target,
-                opts,
-                is_open,
-                overlay.as_ref().unwrap_or(env),
-                profile.map(|p| p[fid.index()].as_slice()),
-                analyses,
-                body_hashes[fid.index()],
-                scratch,
-            )
-        };
-        let shard = if capture {
-            ipra_obs::disable()
-        } else {
-            ipra_obs::Trace::default()
-        };
-        if let Some(ov) = overlay.as_mut() {
-            if inter && !art.alloc.is_open {
-                ov.summaries.insert(fid, art.alloc.summary.clone());
-            }
-            ov.tree_used.insert(fid, art.alloc.tree_used);
-        }
-        out.push((fid, art, shard));
-    }
-}
-
-/// Convenience: which functions ended up open under `opts`.
-pub fn open_functions(module: &Module, opts: &AllocOptions) -> Vec<FuncId> {
-    let cg = CallGraph::build(module);
-    let scc = SccInfo::compute(&cg);
-    let openness = Openness::compute(module, &cg, &scc);
-    module
-        .funcs
-        .iter()
-        .filter(|(id, f)| {
-            opts.mode != AllocMode::Inter
-                || opts.forced_open.contains(&f.name)
-                || openness.is_open(*id)
-        })
-        .map(|(id, _)| id)
-        .collect()
 }

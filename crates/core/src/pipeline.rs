@@ -5,7 +5,7 @@
 //! for the recompile loops the incremental cache exists for (daemons,
 //! convention sweeps, watch modes). [`Pipeline`] is the long-lived
 //! counterpart: it owns the memoized per-function analyses
-//! ([`AnalysisCache`]), the per-worker scratch buffers ([`ScratchPool`]),
+//! ([`AnalysisCache`]), the per-compile scratch buffers ([`ScratchPool`]),
 //! and an in-memory image of decoded incremental-cache entries, all of
 //! which survive from one [`Pipeline::compile`] call to the next.
 //!
@@ -16,7 +16,7 @@
 //! the `recompile_allocs` bench's heap-allocation reduction.
 //!
 //! Output is bit-identical to the one-shot entry points for every
-//! jobs/cache/scratch combination; the differential oracle compiles the
+//! cache/scratch combination; the differential oracle compiles the
 //! same seed through a reused pipeline and a fresh one and compares the
 //! rendered machine code byte for byte.
 
@@ -121,15 +121,14 @@ impl<K: Eq + Hash + Clone, V> BoundedMemo<K, V> {
 /// in-memory incremental-cache image. Create one per daemon/JIT/bench
 /// process and push every compile through it.
 ///
-/// A `Pipeline` is `Send + Sync`: wave workers already share it within a
-/// compile, and a compile daemon shares one across concurrent client
-/// sessions — every memo sits behind its own lock, and compiles are
-/// bit-identical no matter how the memos interleave.
+/// A `Pipeline` is `Send + Sync`: a compile daemon shares one across
+/// concurrent client sessions — every memo sits behind its own lock, and
+/// compiles are bit-identical no matter how the memos interleave.
 #[derive(Debug)]
 pub struct Pipeline {
     /// Per-function analyses memoized across compiles by body hash.
     pub(crate) analyses: AnalysisCache,
-    /// Recycled per-worker scratch buffers.
+    /// Recycled per-compile scratch buffers.
     pub(crate) scratch: ScratchPool,
     /// Decoded incremental-cache entries by component key, so a warm
     /// recompile never touches the cache directory again.

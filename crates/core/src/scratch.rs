@@ -5,10 +5,9 @@
 //! per-vreg flag vectors, range-index rows, a liveness bitset, and the
 //! parallel-move resolver's worklists. [`CompileScratch`] owns one of
 //! each and hands them out `clear()`ed instead of freshly allocated, so a
-//! worker compiling its hundredth function reuses the buffers of its
-//! first. [`ScratchPool`] holds one `CompileScratch` per wave worker and
-//! recycles them across waves and across compiles of the same
-//! [`crate::Pipeline`].
+//! compile's hundredth function reuses the buffers of its first.
+//! [`ScratchPool`] holds one `CompileScratch` per concurrent compile and
+//! recycles them across compiles of the same [`crate::Pipeline`].
 //!
 //! Reuse is invisible to the output: every `take_*` returns buffers in
 //! the exact state a fresh allocation would have, so machine code is
@@ -59,11 +58,10 @@ pub struct MoveScratch {
     pub seen: HashSet<PReg>,
 }
 
-/// Per-worker scratch for one in-flight function compilation.
+/// Scratch for one in-flight compile.
 ///
-/// Owned by a [`ScratchPool`]; the wave scheduler lends one to each
-/// worker thread, and the worker threads it through ranges → color →
-/// shrink-wrap → lower. Buffers that escape into results (`SavePlan`
+/// Owned by a [`ScratchPool`]; each compile checks one out and threads it
+/// through ranges → color → shrink-wrap → lower for every function. Buffers that escape into results (`SavePlan`
 /// placement maps, `Assignment` vectors) are never pooled — only
 /// genuinely transient storage lives here.
 #[derive(Debug, Default)]
@@ -100,7 +98,7 @@ impl CompileScratch {
 }
 
 /// A shared pool of [`CompileScratch`] instances, one per concurrently
-/// active worker. Lives on the [`crate::Pipeline`], so scratch survives
+/// active compile. Lives on the [`crate::Pipeline`], so scratch survives
 /// not just across functions in one compile but across whole recompiles.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
@@ -109,12 +107,12 @@ pub struct ScratchPool {
 
 impl ScratchPool {
     /// Borrows a scratch instance (creating one if the pool is dry).
-    /// Return it with [`ScratchPool::release`] when the worker finishes.
+    /// Return it with [`ScratchPool::release`] when the compile finishes.
     pub fn acquire(&self) -> CompileScratch {
         self.free.lock().unwrap().pop().unwrap_or_default()
     }
 
-    /// Returns a scratch instance for the next worker.
+    /// Returns a scratch instance for the next compile.
     pub fn release(&self, s: CompileScratch) {
         self.free.lock().unwrap().push(s);
     }

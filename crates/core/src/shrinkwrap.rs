@@ -96,9 +96,7 @@ pub fn shrink_wrap_with(
 ) -> SavePlan {
     let plan = shrink_wrap_inner(cfg, loops, app, masks);
     // Flight-recorder distributions of plan shape: placement points per
-    // solve and range-extension rounds. Histograms merge bucket-wise
-    // across wave shards, so the module-level picture is scheduling-
-    // independent.
+    // solve and range-extension rounds.
     if ipra_obs::is_enabled() {
         ipra_obs::metric_observe(
             "shrink_wrap.save_points",

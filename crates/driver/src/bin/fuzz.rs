@@ -5,8 +5,8 @@
 //! interpreter (dynamic — the executed path must print the right values)
 //! and the static register-contract verifier (`ipra-verify` — every path
 //! must honor the published save/restore and convention contracts), under
-//! the full configuration cross-product (all allocator configs, `jobs = 1`
-//! vs `jobs = 4` bit-identity, cold vs warm cache). Failing seeds are
+//! the full configuration cross-product (all allocator configs, cold vs
+//! warm cache). Failing seeds are
 //! written to a corpus directory as standalone `.mini` repros and
 //! delta-debugged to minimal ones; static-verifier failures carry config
 //! `static-verify/<name>` and reduce exactly like interpreter mismatches.

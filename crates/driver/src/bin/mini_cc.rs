@@ -14,7 +14,6 @@
 //!   --trace                print the compile/execution trace to stderr
 //!   --trace-json <path>    write the trace as JSON to <path>
 //!   --trace-chrome <path>  write a Chrome/Perfetto trace-event file to <path>
-//!   --jobs <n>             wave-scheduler worker threads (0 = auto, 1 = serial)
 //!   --cache-dir <dir>      incremental allocation cache directory
 //!   --verify-mc            statically verify register contracts of the
 //!                          lowered code (default on in debug builds)
@@ -75,7 +74,7 @@ fn usage() -> &'static str {
     "usage: mini-cc [-O0|-O2|-O3] [--no-shrink-wrap] [--limit NC,NE] \
      [--target NAME|conv:P,C,A] \
      [--emit ir|asm|summary] [--run] [--trace] [--trace-json PATH] \
-     [--trace-chrome PATH] [--jobs N] [--cache-dir DIR] [--profile-out PATH] [--profile-in PATH] \
+     [--trace-chrome PATH] [--cache-dir DIR] [--profile-out PATH] [--profile-in PATH] \
      [--inline] [--inline-budget N] \
      [--verify-mc | --no-verify-mc] [--remote SOCKET [--ping | --shutdown]] \
      (<file.mini> | --workload <name>)"
@@ -100,13 +99,11 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut limit = None;
     let mut target_name = None;
     let mut input = None;
-    // `-O2`/`-O3` replace the whole option set, so `--no-shrink-wrap`,
-    // `--jobs` and `--cache-dir` are remembered separately and applied
-    // after the flag loop — otherwise `--no-shrink-wrap -O3` would
-    // silently re-enable shrink-wrapping (and likewise reset the job
-    // count or drop the cache directory).
+    // `-O2`/`-O3` replace the whole option set, so `--no-shrink-wrap`
+    // and `--cache-dir` are remembered separately and applied after the
+    // flag loop — otherwise `--no-shrink-wrap -O3` would silently
+    // re-enable shrink-wrapping (and likewise drop the cache directory).
     let mut no_shrink_wrap = false;
-    let mut jobs = None;
     let mut cache_dir = None;
     let mut inline = false;
     let mut inline_budget = None;
@@ -141,10 +138,6 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--trace-chrome" => {
                 trace_chrome = Some(args.next().ok_or("--trace-chrome needs a path")?)
             }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a count")?;
-                jobs = Some(v.trim().parse::<usize>().map_err(|_| "bad --jobs count")?);
-            }
             "--cache-dir" => cache_dir = Some(args.next().ok_or("--cache-dir needs a directory")?),
             "--verify-mc" => verify_mc = true,
             "--no-verify-mc" => verify_mc = false,
@@ -174,9 +167,6 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
     }
     if no_shrink_wrap {
         opts.shrink_wrap = false;
-    }
-    if let Some(j) = jobs {
-        opts.jobs = j;
     }
     if let Some(d) = cache_dir {
         opts.cache_dir = Some(std::path::PathBuf::from(d));
@@ -295,7 +285,6 @@ fn remote_main(socket: &str, args: &Args) -> Result<(), String> {
         AllocMode::Inter => "O3".into(),
     };
     req.shrink_wrap = Some(args.opts.shrink_wrap);
-    req.jobs = args.opts.jobs;
     req.limit = args.limit;
     req.target = args.target_name.clone();
     req.cache_dir = args
@@ -524,7 +513,7 @@ fn real_main() -> Result<(), String> {
     }
 
     if let Some(raw) = raw_trace {
-        // Chrome export works on the raw spans (it needs lanes and real
+        // Chrome export works on the raw spans (it needs real
         // timestamps), the structured trace on the digested view.
         if let Some(path) = &args.trace_chrome {
             let doc = ipra_obs::chrome::export(&raw, &config.name);
@@ -576,16 +565,6 @@ mod tests {
     fn shrink_wrap_on_by_default_at_o3() {
         let a = parse(&["-O3", "x.mini"]);
         assert!(a.opts.shrink_wrap);
-    }
-
-    #[test]
-    fn jobs_flag_parses_and_survives_opt_level() {
-        let a = parse(&["--jobs", "4", "-O3", "x.mini"]);
-        assert_eq!(a.opts.jobs, 4);
-        let b = parse(&["-O2", "--jobs", "1", "x.mini"]);
-        assert_eq!(b.opts.jobs, 1);
-        let c = parse(&["x.mini"]);
-        assert_eq!(c.opts.jobs, 0, "default: auto");
     }
 
     #[test]

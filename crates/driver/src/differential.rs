@@ -3,10 +3,9 @@
 //! One seed passes when, for *every* named allocator configuration, the
 //! simulated machine code (with the register-preservation checker on)
 //! prints exactly what the [`ipra_ir::interp`] reference interpreter
-//! prints — and additionally the compile is deterministic across worker
-//! counts (`jobs = 1` vs `jobs = 4` render byte-identical assembly),
-//! across cache temperature (a warm `--cache-dir` compile replays to the
-//! same assembly as the cold one that populated it), and across scratch
+//! prints — and additionally the compile is deterministic across cache
+//! temperature (a warm `--cache-dir` compile replays to the same
+//! assembly as the cold one that populated it), and across scratch
 //! reuse (a second compile through one persistent pipeline — memoized
 //! analyses, recycled buffers — matches a fresh compile). A final trace oracle
 //! re-compiles under tracing and demands that the `--trace-json` document
@@ -42,8 +41,8 @@ use crate::{compile_only, run_compiled, Config};
 /// (skewed caller/callee split, few allocatable registers, reduced
 /// argument-register count), and the two inliner ablation legs
 /// (`inline/A`, `inline/C`), whose module transform must preserve the
-/// interpreter oracle, the static register contracts and byte-identity
-/// across jobs just like any allocation config.
+/// interpreter oracle and the static register contracts just like any
+/// allocation config.
 pub fn all_configs() -> Vec<Config> {
     let mut v = vec![
         Config::o2_base(),
@@ -67,27 +66,15 @@ pub fn all_configs() -> Vec<Config> {
 }
 
 /// Knobs for one differential check.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DiffOptions {
     /// Budgets for the reference-interpreter oracle run. Seeds that
     /// exhaust them are reported as [`DiffVerdict::Skipped`].
     pub interp: InterpOptions,
-    /// Worker counts whose compiles must render byte-identical assembly.
-    pub jobs_pair: (usize, usize),
     /// When set, a scratch directory for the cold-vs-warm cache check
     /// (run under configuration C). The harness creates and removes a
     /// subdirectory per call, so one root may serve many seeds.
     pub cache_root: Option<PathBuf>,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            interp: InterpOptions::default(),
-            jobs_pair: (1, 4),
-            cache_root: None,
-        }
-    }
 }
 
 impl DiffOptions {
@@ -173,8 +160,7 @@ fn diff_outputs(got: &[i64], want: &[i64]) -> String {
 ///
 /// Returns the first [`DiffFailure`] found: a simulator trap (including
 /// register-preservation violations), an output mismatch against the
-/// interpreter, a `jobs`-dependent compile, or a warm-cache compile that
-/// differs from the cold one.
+/// interpreter, or a warm-cache compile that differs from the cold one.
 pub fn check_module(module: &Module, opts: &DiffOptions) -> Result<DiffVerdict, DiffFailure> {
     // IR well-formedness first: breakage introduced before allocation is
     // attributed to the frontend/IR stage, not to whichever configuration
@@ -193,13 +179,11 @@ pub fn check_module(module: &Module, opts: &DiffOptions) -> Result<DiffVerdict, 
     };
 
     for config in all_configs() {
-        let mut c1 = config.clone();
-        c1.opts.jobs = opts.jobs_pair.0;
-        let compiled = compile_only(module, &c1);
+        let compiled = compile_only(module, &config);
         // Static oracle: prove the register contracts on every path before
         // the dynamic run exercises one of them.
         if let Some(v) =
-            ipra_verify::verify_module(&compiled.mmodule, &c1.target.regs, &compiled.summaries)
+            ipra_verify::verify_module(&compiled.mmodule, &config.target.regs, &compiled.summaries)
                 .first()
         {
             return Err(fail(
@@ -207,23 +191,10 @@ pub fn check_module(module: &Module, opts: &DiffOptions) -> Result<DiffVerdict, 
                 format!("static verifier rejected the module: {v}"),
             ));
         }
-        let m = run_compiled(&compiled, &c1)
+        let m = run_compiled(&compiled, &config)
             .map_err(|t| fail(&config.name, format!("simulator trapped: {t}")))?;
         if m.output != oracle.output {
             return Err(fail(&config.name, diff_outputs(&m.output, &oracle.output)));
-        }
-
-        let mut c4 = config.clone();
-        c4.opts.jobs = opts.jobs_pair.1;
-        let compiled4 = compile_only(module, &c4);
-        if asm_of(&compiled4, &c4) != asm_of(&compiled, &c1) {
-            return Err(fail(
-                &config.name,
-                format!(
-                    "assembly differs between jobs={} and jobs={}",
-                    opts.jobs_pair.0, opts.jobs_pair.1
-                ),
-            ));
         }
     }
 

@@ -16,8 +16,8 @@
 //! wait behind them, and anything beyond that is answered immediately
 //! with a structured `busy` response instead of being buffered without
 //! bound. Cheap commands (`ping`, `metrics`, `shutdown`) bypass the gate.
-//! Each admitted compile's wave-scheduler job count is clamped to
-//! `jobs_cap` so concurrent sessions cannot multiply threads.
+//! Each compile runs on its session's thread, so `max_active` also bounds
+//! the threads compiling at once.
 //!
 //! # Determinism
 //!
@@ -35,7 +35,7 @@
 //! ```json
 //! {"cmd": "compile", "id": 1,
 //!  "source": "fn main() { print(1); }",
-//!  "options": {"opt": "O3", "shrink_wrap": true, "jobs": 0,
+//!  "options": {"opt": "O3", "shrink_wrap": true,
 //!              "limit": [7, 0], "cache_dir": "/tmp/c",
 //!              "inline": true, "inline_budget": 48},
 //!  "run": true, "trace": false}
@@ -43,8 +43,9 @@
 //!
 //! `source` may be replaced by `path` (read server-side) or `workload`
 //! (a bundled benchmark name). Every `options` field is optional and
-//! defaults to the `mini-cc` defaults (`-O3`, shrink-wrap on, auto
-//! jobs, full register file, no cache, inliner off). Responses carry `id` back,
+//! defaults to the `mini-cc` defaults (`-O3`, shrink-wrap on, full
+//! register file, no cache, inliner off); unknown keys are ignored.
+//! Responses carry `id` back,
 //! `status` (`ok` | `error` | `busy`), and on success the rendered
 //! `asm`, a `warm` flag (the whole compile was answered from the
 //! analysis memo), `cache`/`analysis` statistics, plus `output` and
@@ -74,8 +75,6 @@ pub struct ServiceConfig {
     pub max_active: usize,
     /// Compiles allowed to wait for a slot before `busy` is returned.
     pub max_queue: usize,
-    /// Upper bound on any single compile's wave-scheduler jobs.
-    pub jobs_cap: usize,
     /// Per-frame payload cap enforced before buffering.
     pub max_frame_len: u32,
     /// FIFO bound on the pipeline's prepared-module memo.
@@ -89,7 +88,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_active: 4,
             max_queue: 64,
-            jobs_cap: 4,
             max_frame_len: MAX_FRAME_LEN,
             prepared_cap: 256,
             entries_cap: 4096,
@@ -399,7 +397,7 @@ impl Service {
     }
 
     /// Rebuilds the `mini-cc` configuration surface from the request's
-    /// `options` object, with the daemon's jobs clamp applied.
+    /// `options` object.
     fn request_config(&self, req: &Json) -> Result<(Config, bool, bool), String> {
         let run = req.get("run").and_then(as_bool).unwrap_or(false);
         let trace = req.get("trace").and_then(as_bool).unwrap_or(false);
@@ -416,18 +414,6 @@ impl Service {
         if let Some(b) = field("shrink_wrap").and_then(as_bool) {
             opts.shrink_wrap = b;
         }
-        let requested = field("jobs").and_then(Json::as_i64).unwrap_or(0);
-        if requested < 0 {
-            return Err("jobs must be non-negative".into());
-        }
-        // Per-request clamp: auto (0) resolves to the cap, explicit
-        // requests are honored up to it. Output is jobs-independent, so
-        // the clamp is invisible to clients.
-        opts.jobs = if requested == 0 {
-            self.config.jobs_cap
-        } else {
-            (requested as usize).min(self.config.jobs_cap)
-        };
         if let Some(d) = field("cache_dir").and_then(Json::as_str) {
             opts.cache_dir = Some(std::path::PathBuf::from(d));
         }
@@ -597,8 +583,6 @@ pub struct CompileRequest {
     pub opt: String,
     /// Override shrink-wrapping (default: the level's default).
     pub shrink_wrap: Option<bool>,
-    /// Wave-scheduler jobs (0 = server default; clamped server-side).
-    pub jobs: usize,
     /// Register class limits, as in `--limit NC,NE`.
     pub limit: Option<(usize, usize)>,
     /// Named target or `conv:POOL,CALLER,ARGS`, as in `--target NAME`.
@@ -625,7 +609,6 @@ impl CompileRequest {
             source,
             opt: "O3".into(),
             shrink_wrap: None,
-            jobs: 0,
             limit: None,
             target: None,
             cache_dir: None,
@@ -643,10 +626,7 @@ impl CompileRequest {
             RequestSource::Path(p) => ("path", p.clone()),
             RequestSource::Workload(w) => ("workload", w.clone()),
         };
-        let mut options = vec![
-            ("opt", Json::Str(self.opt.clone())),
-            ("jobs", Json::Int(self.jobs as i64)),
-        ];
+        let mut options = vec![("opt", Json::Str(self.opt.clone()))];
         if let Some(b) = self.shrink_wrap {
             options.push(("shrink_wrap", Json::Bool(b)));
         }

@@ -3,23 +3,17 @@
 //! Converts a [`crate::Trace`] span tree into the JSON object format
 //! understood by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev):
 //! a `{"traceEvents": [...]}` document of complete (`"X"`) events plus
-//! `"M"` metadata naming the process and one thread per span lane.
-//!
-//! Two things to know when reading the result:
-//!
-//! - **Times are virtual.** [`crate::absorb`] rebases worker shards onto a
-//!   serial virtual clock so merged traces are deterministic; the exported
-//!   timeline therefore shows logical ordering and per-span durations, not
-//!   wall-clock overlap.
-//! - **Threads are lanes.** Each tid is a [`crate::SpanRec::lane`] — one
-//!   logical unit of parallel work (e.g. one function's allocation in a
-//!   wave), numbered in shard-absorption order, not an OS thread id.
+//! `"M"` metadata naming the process and its one thread. A compile runs on
+//! one thread, so timestamps are wall-clock offsets from the start of
+//! tracing and sibling spans never overlap.
 
 use crate::json::Json;
 use crate::{SpanRec, Trace};
 
 /// Process id used for all exported events (the trace is one process).
 const PID: i64 = 1;
+/// Thread id used for all exported events (a compile is one thread).
+const TID: i64 = 0;
 
 fn micros(ns: u64) -> Json {
     // trace_event timestamps are microseconds; keep sub-µs precision as a
@@ -27,13 +21,13 @@ fn micros(ns: u64) -> Json {
     Json::Float(ns as f64 / 1000.0)
 }
 
-fn metadata(name: &'static str, tid: i64, value: &str) -> Json {
+fn metadata(name: &'static str, value: &str) -> Json {
     Json::obj(vec![
         ("name", Json::Str(name.to_string())),
         ("ph", Json::Str("M".to_string())),
         ("ts", Json::Int(0)),
         ("pid", Json::Int(PID)),
-        ("tid", Json::Int(tid)),
+        ("tid", Json::Int(TID)),
         (
             "args",
             Json::obj(vec![("name", Json::Str(value.to_string()))]),
@@ -63,7 +57,7 @@ fn complete_event(sp: &SpanRec) -> Json {
         ("ts", micros(sp.start_ns)),
         ("dur", micros(sp.dur_ns)),
         ("pid", Json::Int(PID)),
-        ("tid", Json::Int(sp.lane as i64)),
+        ("tid", Json::Int(TID)),
         ("args", Json::obj(args)),
     ])
 }
@@ -79,21 +73,9 @@ pub fn export(trace: &Trace, process_name: &str) -> Json {
     let mut events = Vec::with_capacity(trace.spans.len() + 8);
     events.push(metadata(
         "process_name",
-        0,
         &format!("mini-cc ({process_name})"),
     ));
-
-    let mut lanes: Vec<u32> = trace.spans.iter().map(|s| s.lane).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    for &lane in &lanes {
-        let label = if lane == 0 {
-            "driver".to_string()
-        } else {
-            format!("lane-{lane}")
-        };
-        events.push(metadata("thread_name", lane as i64, &label));
-    }
+    events.push(metadata("thread_name", "compile"));
 
     // Spans are recorded in completion order; export in start order so the
     // document reads chronologically (viewers do not require it, humans
@@ -118,20 +100,15 @@ mod tests {
         parent: Option<u64>,
         start: u64,
         dur: u64,
-        lane: u32,
+        scope: &str,
     ) -> SpanRec {
         SpanRec {
-            scope: if lane == 0 {
-                String::new()
-            } else {
-                format!("f{lane}")
-            },
+            scope: scope.to_string(),
             name,
             id,
             parent_id: parent,
             start_ns: start,
             dur_ns: dur,
-            lane,
         }
     }
 
@@ -139,9 +116,9 @@ mod tests {
     fn every_event_has_the_required_keys() {
         let trace = Trace {
             spans: vec![
-                span("compile", 0, None, 0, 5000, 0),
-                span("color", 1, Some(0), 500, 1500, 1),
-                span("lower", 2, Some(0), 2500, 1000, 2),
+                span("compile", 0, None, 0, 5000, ""),
+                span("color", 1, Some(0), 500, 1500, "f1"),
+                span("lower", 2, Some(0), 2500, 1000, "f2"),
             ],
             ..Trace::default()
         };
@@ -166,47 +143,30 @@ mod tests {
     }
 
     #[test]
-    fn lanes_become_named_threads() {
+    fn all_spans_share_one_thread() {
         let trace = Trace {
             spans: vec![
-                span("compile", 0, None, 0, 5000, 0),
-                span("color", 1, None, 0, 100, 3),
+                span("compile", 0, None, 0, 5000, ""),
+                span("color", 1, None, 0, 100, "f3"),
             ],
             ..Trace::default()
         };
         let doc = export(&trace, "C");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let thread_names: Vec<(i64, String)> = events
+        let thread_names = events
             .iter()
             .filter(|e| e.get("name").unwrap().as_str() == Some("thread_name"))
-            .map(|e| {
-                (
-                    e.get("tid").unwrap().as_i64().unwrap(),
-                    e.get("args")
-                        .unwrap()
-                        .get("name")
-                        .unwrap()
-                        .as_str()
-                        .unwrap()
-                        .to_string(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            thread_names,
-            vec![(0, "driver".to_string()), (3, "lane-3".to_string())]
-        );
-        let color = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("color"))
-            .unwrap();
-        assert_eq!(color.get("tid").unwrap().as_i64(), Some(3));
+            .count();
+        assert_eq!(thread_names, 1);
+        for ev in events {
+            assert_eq!(ev.get("tid").unwrap().as_i64(), Some(0), "{}", ev.render());
+        }
     }
 
     #[test]
     fn timestamps_are_microseconds() {
         let trace = Trace {
-            spans: vec![span("phase", 0, None, 2500, 1500, 0)],
+            spans: vec![span("phase", 0, None, 2500, 1500, "")],
             ..Trace::default()
         };
         let doc = export(&trace, "C");

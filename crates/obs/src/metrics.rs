@@ -7,12 +7,12 @@
 //! metric name can be sliced per cache result, per call-graph edge, or per
 //! configuration without inventing new names.
 //!
-//! Metrics follow the same per-thread shard model as the rest of the
+//! Metrics follow the same per-thread sink model as the rest of the
 //! crate: recording goes through [`crate::metric_counter`],
 //! [`crate::metric_gauge`] and [`crate::metric_observe`] into the current
-//! thread's sink, worker shards come back inside [`crate::Trace`], and
-//! [`crate::absorb`] merges them with [`Metrics::merge`] (counters add,
-//! gauges last-write-wins, histograms add bucket-wise). Everything is
+//! thread's sink and comes back inside [`crate::Trace`]. Two registries
+//! combine with [`Metrics::merge`] (counters add, gauges last-write-wins,
+//! histograms add bucket-wise). Everything is
 //! plain-old-data: zero dependencies, `Eq`, deterministic JSON.
 
 use crate::json::Json;
@@ -199,10 +199,8 @@ pub struct Metric<T> {
 /// A snapshot of every labeled metric recorded on one sink.
 ///
 /// Metric instances are keyed by `(name, labels)`. The snapshot lives
-/// inside [`crate::Trace`] and merges across thread shards via
-/// [`Metrics::merge`]; serialization sorts instances by `(name, labels)`
-/// so the output is independent of recording order (and therefore of
-/// thread scheduling).
+/// inside [`crate::Trace`]; serialization sorts instances by
+/// `(name, labels)` so the output is independent of recording order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Additive counters.

@@ -87,36 +87,82 @@ fn corpus() -> Vec<(String, ipra_ir::Module)> {
 
 /// Warm compiles must replay every function from the cache and still be
 /// bit-identical to the cold compile — machine code, summaries, clobber
-/// masks, reports, output and stats — at both `jobs = 1` and `jobs = 4`.
+/// masks, reports, output and stats.
 #[test]
 fn warm_compile_is_bit_identical_to_cold_across_corpus() {
-    for jobs in [1usize, 4] {
-        let dir = cache_dir(&format!("warm-{jobs}"));
-        for (name, module) in &corpus() {
-            let mut cfg = Config::c();
-            cfg.opts.jobs = jobs;
-            let baseline = compile_only(module, &cfg);
-            assert!(!baseline.cache.enabled, "[{name}] no cache configured");
+    let dir = cache_dir("warm");
+    for (name, module) in &corpus() {
+        let mut cfg = Config::c();
+        let baseline = compile_only(module, &cfg);
+        assert!(!baseline.cache.enabled, "[{name}] no cache configured");
 
-            cfg.opts.cache_dir = Some(dir.join(name));
-            let cold = compile_only(module, &cfg);
-            let n = module.funcs.len() as u64;
-            assert_eq!(cold.cache.misses, n, "[{name}/j{jobs}] cold misses all");
-            assert_eq!(cold.cache.hits, 0, "[{name}/j{jobs}] cold has no hits");
+        cfg.opts.cache_dir = Some(dir.join(name));
+        let cold = compile_only(module, &cfg);
+        let n = module.funcs.len() as u64;
+        assert_eq!(cold.cache.misses, n, "[{name}] cold misses all");
+        assert_eq!(cold.cache.hits, 0, "[{name}] cold has no hits");
 
-            let warm = compile_only(module, &cfg);
-            assert_eq!(warm.cache.hits, n, "[{name}/j{jobs}] warm hits all");
-            assert_eq!(warm.cache.misses, 0, "[{name}/j{jobs}] warm misses none");
-            assert_eq!(warm.cache.cutoffs, 0, "[{name}/j{jobs}] nothing recompiled");
+        let warm = compile_only(module, &cfg);
+        assert_eq!(warm.cache.hits, n, "[{name}] warm hits all");
+        assert_eq!(warm.cache.misses, 0, "[{name}] warm misses none");
+        assert_eq!(warm.cache.cutoffs, 0, "[{name}] nothing recompiled");
 
-            let want = observe(&baseline, &cfg);
-            assert_eq!(
-                observe(&cold, &cfg),
-                want,
-                "[{name}/j{jobs}] cold == uncached"
-            );
-            assert_eq!(observe(&warm, &cfg), want, "[{name}/j{jobs}] warm == cold");
-        }
+        let want = observe(&baseline, &cfg);
+        assert_eq!(observe(&cold, &cfg), want, "[{name}] cold == uncached");
+        assert_eq!(observe(&warm, &cfg), want, "[{name}] warm == cold");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The shard names a cold `-O3` compile writes are the component cache
+/// keys. They are pinned so cache directories written by earlier builds
+/// keep hitting: a compile-loop change that moves them must also bump
+/// `CACHE_FORMAT_VERSION`.
+#[test]
+fn cold_compile_derives_the_pinned_cache_keys() {
+    const NIM: [&str; 7] = [
+        "6b7b084da8ab3148",
+        "902fa201361f0bec",
+        "b7bb137fedfd73ab",
+        "c601bde5be05aaa5",
+        "d295a704a745f282",
+        "d409d32fdbc2bde8",
+        "d47012ce591c7427",
+    ];
+    const STANFORD: [&str; 18] = [
+        "08ee6760f6a1aa4e",
+        "353960cf5d5c3dcc",
+        "3591fb04c8bd66a2",
+        "5123f808d35f096e",
+        "5209d992b4dcd3c1",
+        "61a940225013c4b7",
+        "740f352340bfea25",
+        "819cc421a1707a13",
+        "93e5477bfd946e7a",
+        "94f76ade821ff369",
+        "a9f81f5d26c4a8bd",
+        "ab6d74af027d3eff",
+        "b5eb31739a031f84",
+        "ba83696a4b00eee3",
+        "bc61558c16e61cc3",
+        "eb6d150f2462b7cf",
+        "f6947bba684af13a",
+        "fb100611013cd5ea",
+    ];
+    for (w, keys) in [("nim", &NIM[..]), ("stanford", &STANFORD[..])] {
+        let dir = cache_dir(&format!("keys-{w}"));
+        let mut cfg = Config::c();
+        cfg.opts.cache_dir = Some(dir.clone());
+        let module = ipra_workloads::compile_workload(ipra_workloads::by_name(w).unwrap()).unwrap();
+        compile_only(&module, &cfg);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let want: Vec<String> = keys.iter().map(|k| format!("{k}.ce.json")).collect();
+        assert_eq!(names, want, "[{w}] cache keys moved");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -283,11 +329,7 @@ fn editing_an_inlined_away_function_recompiles_the_inline_ancestor_set() {
         "functions outside the splice set replay from the cache"
     );
 
-    let fresh2 = compile_only(&m2, &{
-        let mut c = Config::inline_c();
-        c.opts.jobs = cfg.opts.jobs;
-        c
-    });
+    let fresh2 = compile_only(&m2, &Config::inline_c());
     assert_eq!(
         observe(&warm2, &cfg),
         observe(&fresh2, &cfg),

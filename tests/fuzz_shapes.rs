@@ -61,9 +61,9 @@ fn recursive_corpora_put_procedures_on_cycles() {
     );
 }
 
-/// The full differential check (all configs, jobs bit-identity, oracle
-/// comparison) over a fixed window of every shape class. Resource-limit
-/// skips are allowed; differential failures are not.
+/// The full differential check (all configs, oracle comparison) over a
+/// fixed window of every shape class. Resource-limit skips are allowed;
+/// differential failures are not.
 #[test]
 fn every_shape_class_passes_the_differential_check() {
     let opts = DiffOptions::default();

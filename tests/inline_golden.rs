@@ -1,7 +1,7 @@
 //! Golden tests for the three-leg inlining × IPRA ablation
 //! (`off` / `inline` / `inline+IPRA`, see `ipra_bench::inline_ablation`):
-//! the rendered JSON document must be byte-identical across `--jobs 1`
-//! and `--jobs 4`, and across cold and warm allocation caches; the
+//! the rendered JSON document must be byte-identical across cold and warm
+//! allocation caches; the
 //! ablation invariant (inline+IPRA pays no more penalty than off) must
 //! hold on every corpus program; and two workloads' inliner site counts
 //! are pinned exactly, so any change to ranking, budget accounting or
@@ -59,29 +59,22 @@ fn corpus() -> Vec<(String, ipra_ir::Module)> {
     corpus
 }
 
-/// The full ablation document must not depend on scheduling (`jobs`) or
-/// on allocation-cache temperature: four runs — jobs 1, jobs 4, cold
-/// cache, warm cache over the same directory — render byte-identical
-/// JSON.
+/// The full ablation document must not depend on allocation-cache
+/// temperature: three runs — no cache, cold cache, warm cache over the
+/// same directory — render byte-identical JSON.
 #[test]
-fn ablation_json_is_byte_identical_across_jobs_and_cache_temperature() {
+fn ablation_json_is_byte_identical_across_cache_temperature() {
     let corpus = corpus();
     let doc = |rows: &_| ablation_to_json(rows).render_pretty();
 
-    let jobs1 = doc(&run_ablation_modules(&corpus, Some(1), None).expect("jobs=1 runs"));
-    let jobs4 = doc(&run_ablation_modules(&corpus, Some(4), None).expect("jobs=4 runs"));
-    assert_eq!(
-        jobs1, jobs4,
-        "ablation JSON differs between jobs=1 and jobs=4"
-    );
-
+    let uncached = doc(&run_ablation_modules(&corpus, None).expect("uncached runs"));
     let dir = std::env::temp_dir().join(format!("ipra-inline-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cold = doc(&run_ablation_modules(&corpus, Some(1), Some(&dir)).expect("cold cache runs"));
-    let warm = doc(&run_ablation_modules(&corpus, Some(1), Some(&dir)).expect("warm cache runs"));
+    let cold = doc(&run_ablation_modules(&corpus, Some(&dir)).expect("cold cache runs"));
+    let warm = doc(&run_ablation_modules(&corpus, Some(&dir)).expect("warm cache runs"));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
-        jobs1, cold,
+        uncached, cold,
         "ablation JSON differs between no-cache and cold cache"
     );
     assert_eq!(
@@ -98,7 +91,7 @@ fn ablation_json_is_byte_identical_across_jobs_and_cache_temperature() {
 /// and the corpus must actually exercise the inliner.
 #[test]
 fn inline_plus_ipra_never_pays_more_penalty_than_off() {
-    let rows = run_ablation_modules(&corpus(), Some(1), None).expect("ablation runs");
+    let rows = run_ablation_modules(&corpus(), None).expect("ablation runs");
     let total = |leg: usize| -> u64 { rows.iter().map(|r| r.legs[leg].penalty_cycles).sum() };
     assert!(
         total(2) <= total(0),
@@ -129,7 +122,7 @@ fn site_counts_are_pinned_for_the_real_workloads() {
         .into_iter()
         .filter(|(n, _)| n == "nim" || n == "stanford")
         .collect();
-    let rows = run_ablation_modules(&corpus, Some(1), None).expect("ablation runs");
+    let rows = run_ablation_modules(&corpus, None).expect("ablation runs");
     let pin: Vec<(String, u64, u64, u64)> = rows
         .iter()
         .map(|r| {

@@ -237,8 +237,7 @@ fn inlining_an_address_taken_callee_is_caught() {
 /// Bug 4: a budget comparison that admits one instruction too many. At
 /// the exact admission boundary the healthy and mutated passes diverge
 /// by exactly one budget step — which the golden ablation test's pinned
-/// site counts (and jobs-parity byte-compare) would flag on any corpus
-/// program sitting on the boundary.
+/// site counts would flag on any corpus program sitting on the boundary.
 #[test]
 fn budget_off_by_one_is_caught_at_the_boundary() {
     let count_at = |budget: u32, mutation: InlineMutation| {

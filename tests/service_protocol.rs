@@ -319,6 +319,40 @@ fn target_field_selects_the_register_file() {
     );
     let want_output = default_resp.get("output").and_then(Json::as_arr).unwrap();
 
+    // A `jobs` option is unknown, so ignored like any other unknown key:
+    // same status, same bytes, whatever its value.
+    for jobs in [4, -1] {
+        let mut req = CompileRequest::new(1, RequestSource::Source(pressure.into()));
+        req.run = true;
+        let mut wire = req.to_json();
+        let Json::Obj(fields) = &mut wire else {
+            panic!("requests are objects")
+        };
+        let Some((_, Json::Obj(opts))) = fields.iter_mut().find(|(k, _)| k == "options") else {
+            panic!("requests carry an options object")
+        };
+        opts.push(("jobs".into(), Json::Int(jobs)));
+        let resp = one_request(&wire);
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(
+            resp.get("asm").and_then(Json::as_str),
+            default_resp.get("asm").and_then(Json::as_str),
+            "jobs={jobs} changed the assembly"
+        );
+    }
+    // The daemon has no per-compile thread knob either.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mini-ccd"))
+        .args(["--stdio", "--jobs-cap", "4"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown option `--jobs-cap`"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
     let mut req = CompileRequest::new(2, RequestSource::Source(pressure.into()));
     req.run = true;
     req.target = Some("embedded8".into());

@@ -24,7 +24,7 @@ fn main() {
 }
 "#;
 
-/// The same 11-program corpus the cache and wave golden tests use: the
+/// The same 11-program corpus the cache and trace golden tests use: the
 /// demo, mutual recursion, a call tree, six generator programs and the
 /// two bundled benchmark workloads.
 fn corpus() -> Vec<(String, ipra_ir::Module)> {
