@@ -129,6 +129,15 @@ impl InterpOptions {
 struct Interp<'a> {
     module: &'a Module,
     globals: Vec<Vec<i64>>,
+    /// One value stack for every activation: a frame holds the function's
+    /// vregs, then its slots' cells.
+    stack: Vec<i64>,
+    /// Per function, the frame offset of each slot, starting at
+    /// `slot_start[f]`.
+    slot_off: Vec<usize>,
+    slot_start: Vec<usize>,
+    /// Per function, its frame's cells.
+    frame_size: Vec<usize>,
     output: Vec<i64>,
     fuel: u64,
     max_depth: usize,
@@ -136,7 +145,52 @@ struct Interp<'a> {
     calls: u64,
 }
 
-impl Interp<'_> {
+fn read(stack: &[i64], base: usize, o: Operand) -> i64 {
+    match o {
+        Operand::Reg(v) => stack[base + v.index()],
+        Operand::Imm(i) => i,
+    }
+}
+
+impl<'a> Interp<'a> {
+    fn new(module: &'a Module, opts: InterpOptions) -> Self {
+        let mut slot_off = Vec::new();
+        let mut slot_start = Vec::with_capacity(module.funcs.len());
+        let mut frame_size = Vec::with_capacity(module.funcs.len());
+        for f in module.funcs.values() {
+            slot_start.push(slot_off.len());
+            let mut size = f.num_vregs();
+            for s in f.slots.values() {
+                slot_off.push(size);
+                size += s.size as usize;
+            }
+            frame_size.push(size);
+        }
+        Interp {
+            module,
+            globals: module
+                .globals
+                .values()
+                .map(|g| {
+                    let mut v = vec![0i64; g.size as usize];
+                    for (i, init) in g.init.iter().enumerate().take(g.size as usize) {
+                        v[i] = *init;
+                    }
+                    v
+                })
+                .collect(),
+            stack: Vec::new(),
+            slot_off,
+            slot_start,
+            frame_size,
+            output: Vec::new(),
+            fuel: opts.fuel,
+            max_depth: opts.max_depth,
+            insts: 0,
+            calls: 0,
+        }
+    }
+
     fn charge(&mut self) -> Result<(), Trap> {
         if self.insts >= self.fuel {
             return Err(Trap::OutOfFuel);
@@ -157,89 +211,89 @@ impl Interp<'_> {
         Ok(&mut self.globals[g.index()][index as usize])
     }
 
-    fn call(&mut self, func: FuncId, args: &[i64], depth: usize) -> Result<Option<i64>, Trap> {
+    /// Checks the depth limit and `func`'s arity, then pushes its zeroed
+    /// frame and returns the frame's base.
+    fn push_frame(&mut self, func: FuncId, nargs: usize, depth: usize) -> Result<usize, Trap> {
         if depth >= self.max_depth {
             return Err(Trap::StackOverflow);
         }
         let f = &self.module.funcs[func];
-        if f.params.len() != args.len() {
+        if f.params.len() != nargs {
             return Err(Trap::BadArity {
                 func: f.name.clone(),
-                got: args.len(),
+                got: nargs,
                 want: f.params.len(),
             });
         }
-        let mut regs = vec![0i64; f.num_vregs()];
-        for (p, a) in f.params.iter().zip(args) {
-            regs[p.index()] = *a;
+        let base = self.stack.len();
+        self.stack.resize(base + self.frame_size[func.index()], 0);
+        Ok(base)
+    }
+
+    /// Index of cell `i` of `slot` in the frame at `base`.
+    fn slot_cell(
+        &self,
+        func: FuncId,
+        base: usize,
+        slot: crate::ids::SlotId,
+        i: i64,
+    ) -> Result<usize, Trap> {
+        let data = &self.module.funcs[func].slots[slot];
+        if i < 0 || i >= i64::from(data.size) {
+            return Err(Trap::OutOfBounds {
+                what: format!("slot `{}`", data.name),
+                index: i,
+                size: data.size,
+            });
         }
-        let mut slots: Vec<Vec<i64>> = f
-            .slots
-            .values()
-            .map(|s| vec![0i64; s.size as usize])
-            .collect();
+        Ok(base + self.slot_off[self.slot_start[func.index()] + slot.index()] + i as usize)
+    }
 
-        let read = |regs: &[i64], o: Operand| -> i64 {
-            match o {
-                Operand::Reg(v) => regs[v.index()],
-                Operand::Imm(i) => i,
-            }
-        };
-
+    /// Runs `func` in the frame at `base` (pushed by [`Self::push_frame`],
+    /// arguments already in place) and pops the frame.
+    fn call(&mut self, func: FuncId, base: usize, depth: usize) -> Result<Option<i64>, Trap> {
+        let f = &self.module.funcs[func];
         let mut block = f.entry;
         loop {
             let b = &f.blocks[block];
             for inst in &b.insts {
                 self.charge()?;
                 match inst {
-                    Inst::Copy { dst, src } => regs[dst.index()] = read(&regs, *src),
+                    Inst::Copy { dst, src } => {
+                        self.stack[base + dst.index()] = read(&self.stack, base, *src);
+                    }
                     Inst::Bin { op, dst, lhs, rhs } => {
-                        let a = read(&regs, *lhs);
-                        let c = read(&regs, *rhs);
-                        regs[dst.index()] = op.eval(a, c).ok_or(Trap::DivideByZero)?;
+                        let a = read(&self.stack, base, *lhs);
+                        let c = read(&self.stack, base, *rhs);
+                        self.stack[base + dst.index()] = op.eval(a, c).ok_or(Trap::DivideByZero)?;
                     }
                     Inst::Un { op, dst, src } => {
-                        regs[dst.index()] = op.eval(read(&regs, *src));
+                        self.stack[base + dst.index()] = op.eval(read(&self.stack, base, *src));
                     }
                     Inst::Load { dst, addr } => {
                         let val = match addr {
                             Address::Global { global, index } => {
-                                let i = read(&regs, *index);
+                                let i = read(&self.stack, base, *index);
                                 *self.global_cell(*global, i)?
                             }
                             Address::Stack { slot, index } => {
-                                let i = read(&regs, *index);
-                                let s = &slots[slot.index()];
-                                if i < 0 || i as usize >= s.len() {
-                                    return Err(Trap::OutOfBounds {
-                                        what: format!("slot `{}`", f.slots[*slot].name),
-                                        index: i,
-                                        size: s.len() as u32,
-                                    });
-                                }
-                                s[i as usize]
+                                let i = read(&self.stack, base, *index);
+                                self.stack[self.slot_cell(func, base, *slot, i)?]
                             }
                         };
-                        regs[dst.index()] = val;
+                        self.stack[base + dst.index()] = val;
                     }
                     Inst::Store { src, addr } => {
-                        let val = read(&regs, *src);
+                        let val = read(&self.stack, base, *src);
                         match addr {
                             Address::Global { global, index } => {
-                                let i = read(&regs, *index);
+                                let i = read(&self.stack, base, *index);
                                 *self.global_cell(*global, i)? = val;
                             }
                             Address::Stack { slot, index } => {
-                                let i = read(&regs, *index);
-                                let s = &mut slots[slot.index()];
-                                if i < 0 || i as usize >= s.len() {
-                                    return Err(Trap::OutOfBounds {
-                                        what: format!("slot `{}`", f.slots[*slot].name),
-                                        index: i,
-                                        size: s.len() as u32,
-                                    });
-                                }
-                                s[i as usize] = val;
+                                let i = read(&self.stack, base, *index);
+                                let cell = self.slot_cell(func, base, *slot, i)?;
+                                self.stack[cell] = val;
                             }
                         }
                     }
@@ -249,43 +303,53 @@ impl Interp<'_> {
                         dst,
                     } => {
                         self.calls += 1;
-                        let vals: Vec<i64> = call_args.iter().map(|a| read(&regs, *a)).collect();
                         let target = match callee {
                             Callee::Direct(id) => *id,
                             Callee::Indirect(t) => {
-                                let raw = read(&regs, *t);
+                                let raw = read(&self.stack, base, *t);
                                 if raw < 0 || raw as usize >= self.module.funcs.len() {
                                     return Err(Trap::BadIndirectTarget(raw));
                                 }
                                 FuncId(raw as u32)
                             }
                         };
-                        let ret = self.call(target, &vals, depth + 1)?;
+                        // Arguments go straight into the callee's frame.
+                        let callee_base = self.push_frame(target, call_args.len(), depth + 1)?;
+                        let params = &self.module.funcs[target].params;
+                        for (p, a) in params.iter().zip(call_args) {
+                            self.stack[callee_base + p.index()] = read(&self.stack, base, *a);
+                        }
+                        let ret = self.call(target, callee_base, depth + 1)?;
                         if let Some(d) = dst {
-                            let name = self.module.funcs[target].name.clone();
-                            regs[d.index()] = ret.ok_or(Trap::MissingReturnValue(name))?;
+                            let v = ret.ok_or_else(|| {
+                                Trap::MissingReturnValue(self.module.funcs[target].name.clone())
+                            })?;
+                            self.stack[base + d.index()] = v;
                         }
                     }
                     Inst::FuncAddr { dst, func } => {
-                        regs[dst.index()] = func.index() as i64;
+                        self.stack[base + dst.index()] = func.index() as i64;
                     }
                     Inst::Print { arg } => {
-                        let v = read(&regs, *arg);
+                        let v = read(&self.stack, base, *arg);
                         self.output.push(v);
                     }
                 }
             }
             self.charge()?;
             match &b.term {
-                Terminator::Ret(None) => return Ok(None),
-                Terminator::Ret(Some(v)) => return Ok(Some(read(&regs, *v))),
+                Terminator::Ret(v) => {
+                    let ret = v.map(|v| read(&self.stack, base, v));
+                    self.stack.truncate(base);
+                    return Ok(ret);
+                }
                 Terminator::Br(t) => block = *t,
                 Terminator::CondBr {
                     cond,
                     then_to,
                     else_to,
                 } => {
-                    block = if read(&regs, *cond) != 0 {
+                    block = if read(&self.stack, base, *cond) != 0 {
                         *then_to
                     } else {
                         *else_to
@@ -326,26 +390,12 @@ pub fn run_function(
     args: &[i64],
     opts: InterpOptions,
 ) -> Result<ExecResult, Trap> {
-    let mut interp = Interp {
-        module,
-        globals: module
-            .globals
-            .values()
-            .map(|g| {
-                let mut v = vec![0i64; g.size as usize];
-                for (i, init) in g.init.iter().enumerate().take(g.size as usize) {
-                    v[i] = *init;
-                }
-                v
-            })
-            .collect(),
-        output: Vec::new(),
-        fuel: opts.fuel,
-        max_depth: opts.max_depth,
-        insts: 0,
-        calls: 0,
-    };
-    let ret = interp.call(func, args, 0)?;
+    let mut interp = Interp::new(module, opts);
+    let base = interp.push_frame(func, args.len(), 0)?;
+    for (p, a) in module.funcs[func].params.iter().zip(args) {
+        interp.stack[base + p.index()] = *a;
+    }
+    let ret = interp.call(func, base, 0)?;
     Ok(ExecResult {
         output: interp.output,
         return_value: ret.unwrap_or(0),

@@ -2,18 +2,18 @@
 //!
 //! The span/counter/event primitives in the crate root answer "what did
 //! this one compilation do"; the metrics registry answers "how much, of
-//! what kind" in a form that merges across threads and across runs. Every
-//! metric carries a name plus a label set (`&[(&str, &str)]`), so one
-//! metric name can be sliced per cache result, per call-graph edge, or per
-//! configuration without inventing new names.
+//! what kind". Every metric carries a name plus a label set
+//! (`&[(&str, &str)]`), so one metric name can be sliced per cache
+//! result, per call-graph edge, or per configuration without inventing
+//! new names.
 //!
 //! Metrics follow the same per-thread sink model as the rest of the
 //! crate: recording goes through [`crate::metric_counter`],
 //! [`crate::metric_gauge`] and [`crate::metric_observe`] into the current
-//! thread's sink and comes back inside [`crate::Trace`]. Two registries
-//! combine with [`Metrics::merge`] (counters add, gauges last-write-wins,
-//! histograms add bucket-wise). Everything is
-//! plain-old-data: zero dependencies, `Eq`, deterministic JSON.
+//! thread's sink and comes back inside [`crate::Trace`]. Within one
+//! registry, counters add, gauges keep the last write and histograms
+//! accumulate. Everything is plain-old-data: zero dependencies, `Eq`,
+//! deterministic JSON.
 
 use crate::json::Json;
 
@@ -123,20 +123,6 @@ impl Log2Histogram {
             }
         }
         self.max
-    }
-
-    /// Adds another histogram into this one (bucket-wise; exact fields
-    /// combine exactly).
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// Serializes as `{count, sum, max, buckets: [{lo, hi, count}]}`.
@@ -310,37 +296,6 @@ impl Metrics {
             .map(|m| &m.value)
     }
 
-    /// Merges another snapshot into this one: counters add, gauges take
-    /// the incoming value, histograms merge bucket-wise.
-    pub fn merge(&mut self, other: &Metrics) {
-        for m in &other.counters {
-            let labels: Vec<(&str, &str)> = m
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            find_or_insert(&mut self.counters, m.name, &labels).value += m.value;
-        }
-        for m in &other.gauges {
-            let labels: Vec<(&str, &str)> = m
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            find_or_insert(&mut self.gauges, m.name, &labels).value = m.value;
-        }
-        for m in &other.histograms {
-            let labels: Vec<(&str, &str)> = m
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            find_or_insert(&mut self.histograms, m.name, &labels)
-                .value
-                .merge(&m.value);
-        }
-    }
-
     /// Serializes as `{counters: [...], gauges: [...], histograms: [...]}`
     /// with instances sorted by `(name, labels)` — recording order (and
     /// hence thread scheduling) never leaks into the document.
@@ -445,21 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_bucketwise_addition() {
-        let mut a = Log2Histogram::new();
-        a.observe(1);
-        a.observe(100);
-        let mut b = Log2Histogram::new();
-        b.observe(1);
-        b.observe(5000);
-        a.merge(&b);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.count_for(1), 2);
-        assert_eq!(a.max, 5000);
-        assert_eq!(a.sum, 1 + 100 + 1 + 5000);
-    }
-
-    #[test]
     fn display_renders_nonempty_buckets() {
         let mut h = Log2Histogram::new();
         h.observe(1);
@@ -499,24 +439,6 @@ mod tests {
         let h = m.histogram("h", &[("phase", "color")]).unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 10);
-    }
-
-    #[test]
-    fn merge_combines_all_kinds() {
-        let mut a = Metrics::default();
-        a.add_counter("c", &[], 1);
-        a.set_gauge("g", &[], 1);
-        a.observe("h", &[], 8);
-        let mut b = Metrics::default();
-        b.add_counter("c", &[], 2);
-        b.add_counter("only_b", &[("x", "y")], 7);
-        b.set_gauge("g", &[], 9);
-        b.observe("h", &[], 8);
-        a.merge(&b);
-        assert_eq!(a.counter_value("c", &[]), 3);
-        assert_eq!(a.counter_value("only_b", &[("x", "y")]), 7);
-        assert_eq!(a.gauges.iter().find(|m| m.name == "g").unwrap().value, 9);
-        assert_eq!(a.histogram("h", &[]).unwrap().count, 2);
     }
 
     #[test]

@@ -4,18 +4,27 @@
 //! for this reproduction, because the entire subject of the paper is what
 //! happens to shared registers at procedure boundaries. A register that a
 //! callee clobbers without saving is really clobbered for the caller here.
+//!
+//! [`run`] decodes the module once into a flat array of [`Inst`]s and then
+//! interprets that array. All run-time state lives in a few contiguous
+//! vectors: the value file (registers, then the module's immediates),
+//! memory (the globals, then a stack of frames), a stack of preserved
+//! register values and a dense per-edge ledger. A call allocates nothing
+//! once those vectors have grown to the run's deepest stack. DESIGN.md
+//! "Simulator execution model" explains the layout.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
-use ipra_ir::{BlockId, FuncId};
+use ipra_ir::{BinOp, BlockId, FuncId, UnOp};
 use ipra_machine::{
-    CostModel, MAddress, MCallee, MFunction, MInst, MModule, MOperand, MTerminator, PReg, RegFile,
-    RegMask,
+    CostModel, MAddress, MCallee, MFunction, MInst, MModule, MOperand, MTerminator, MemClass, PReg,
+    RegFile, RegMask,
 };
+use ipra_obs::metrics::Log2Histogram;
 
-use ipra_machine::MemClass;
-
-use crate::stats::{EdgePenalty, FuncStats, Stats, ROOT_CALLER};
+use crate::stats::{class_index, EdgePenalty, FuncStats, Stats, ROOT_CALLER};
 
 /// Why simulation stopped abnormally.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -145,20 +154,597 @@ pub struct SimResult {
     pub block_profile: Option<Vec<Vec<u64>>>,
 }
 
+/// One decoded instruction: its cycles under the run's [`CostModel`] and
+/// what it does. Instructions and terminators decode one to one, function
+/// by function and block by block, so a program counter also names its
+/// source instruction (see [`source_inst`]).
+#[derive(Clone, Copy)]
+struct Inst {
+    cost: u64,
+    op: Op,
+}
+
+/// A decoded operation. Fields named `dst`, `src`, `lhs`, `rhs`, `index`,
+/// `cond`, `target` and `arg` index the value file: the registers, then
+/// the module's distinct immediates, so every operand is read the same way.
+#[derive(Clone, Copy)]
+enum Op {
+    Copy {
+        dst: u32,
+        src: u32,
+    },
+    Bin {
+        op: BinOp,
+        dst: u32,
+        lhs: u32,
+        rhs: u32,
+    },
+    Un {
+        op: UnOp,
+        dst: u32,
+        src: u32,
+    },
+    /// Memory cells `off .. off + len`, counted from the current frame's
+    /// start when `in_frame` (a frame slot or the outgoing-argument area),
+    /// else from the start of memory (a global).
+    Load {
+        class: MemClass,
+        in_frame: bool,
+        dst: u32,
+        index: u32,
+        off: u32,
+        len: u32,
+    },
+    Store {
+        class: MemClass,
+        in_frame: bool,
+        src: u32,
+        index: u32,
+        off: u32,
+        len: u32,
+    },
+    /// Incoming stack argument `i` (a constant, not a value index).
+    LoadIncoming {
+        class: MemClass,
+        dst: u32,
+        i: u32,
+    },
+    /// A direct call passing `n` stack arguments, charged to ledger `edge`.
+    Call {
+        callee: u32,
+        edge: u32,
+        n: u32,
+    },
+    /// `fits` is false when `n` exceeds the caller's outgoing area.
+    CallIndirect {
+        target: u32,
+        n: u32,
+        fits: bool,
+    },
+    Print {
+        arg: u32,
+    },
+    Ret,
+    /// Jump to `pc`, the first instruction of global block `block`.
+    Br {
+        pc: u32,
+        block: u32,
+    },
+    CondBr {
+        cond: u32,
+        then_pc: u32,
+        then_block: u32,
+        else_pc: u32,
+        else_block: u32,
+    },
+    /// An access that is out of bounds whenever it runs: a store to an
+    /// incoming argument, or a direct call passing more stack arguments
+    /// than the caller's outgoing area holds.
+    Fault,
+}
+
+/// What a function's activations need, resolved at decode.
+struct FuncInfo {
+    /// Global number of the function's first block.
+    first_block: u32,
+    /// Global number of the entry block.
+    entry_block: u32,
+    /// Program counter of the entry block.
+    entry_pc: u32,
+    /// Frame cells: the slots, then the outgoing-argument area.
+    frame_size: usize,
+    /// Start of the outgoing-argument area within the frame.
+    out_off: usize,
+    /// The registers this function must preserve, in `Program::preserve`.
+    preserve: Range<usize>,
+}
+
+/// A decoded module. Blocks are numbered globally, function by function.
+struct Program {
+    code: Vec<Inst>,
+    /// Program counter of every block's first instruction.
+    block_pc: Vec<u32>,
+    funcs: Vec<FuncInfo>,
+    /// The module's distinct immediates, which follow the registers in the
+    /// value file.
+    consts: Vec<i64>,
+    /// Registers the convention checker compares on return, per function.
+    preserve: Vec<PReg>,
+}
+
+/// The penalty ledger: one dense entry per call edge. Entry 0 is the
+/// program-entry edge. Decode adds one entry per distinct
+/// `(caller, callee)` pair of a direct call site; an indirect call adds
+/// its edge on first use.
+struct Ledger {
+    entries: Vec<EdgePenalty>,
+    /// Per caller, the `(callee, entry)` pairs known so far, sorted by
+    /// callee.
+    by_caller: Vec<Vec<(u32, u32)>>,
+}
+
+impl Ledger {
+    fn new(funcs: usize, main: FuncId) -> Self {
+        Ledger {
+            entries: vec![EdgePenalty {
+                caller: ROOT_CALLER,
+                callee: main.0,
+                ..EdgePenalty::default()
+            }],
+            by_caller: vec![Vec::new(); funcs],
+        }
+    }
+
+    /// The entry of the edge `caller -> callee`, added on first use.
+    fn id(&mut self, caller: usize, callee: u32) -> usize {
+        let known = &mut self.by_caller[caller];
+        match known.binary_search_by_key(&callee, |&(c, _)| c) {
+            Ok(k) => known[k].1 as usize,
+            Err(k) => {
+                let id = self.entries.len();
+                self.entries.push(EdgePenalty {
+                    caller: u32_of(caller),
+                    callee,
+                    ..EdgePenalty::default()
+                });
+                known.insert(k, (callee, u32_of(id)));
+                id
+            }
+        }
+    }
+
+    fn count_load(&mut self, edge: usize, class: MemClass) {
+        match class {
+            MemClass::SaveRestore => self.entries[edge].sr_loads += 1,
+            MemClass::Spill => self.entries[edge].spill_loads += 1,
+            MemClass::Data | MemClass::ScalarHome => {}
+        }
+    }
+
+    fn count_store(&mut self, edge: usize, class: MemClass) {
+        match class {
+            MemClass::SaveRestore => self.entries[edge].sr_stores += 1,
+            MemClass::Spill => self.entries[edge].spill_stores += 1,
+            MemClass::Data | MemClass::ScalarHome => {}
+        }
+    }
+
+    /// The rows of [`Stats::edge_penalty`]: every edge that was called,
+    /// and the entry edge when `main` itself moved save/restore or spill
+    /// traffic, priced under `cost` and sorted by `(caller, callee)`.
+    fn into_rows(self, cost: &CostModel) -> Vec<EdgePenalty> {
+        let root = &self.entries[0];
+        let root_traffic = root.save_restore_mem() + root.spill_mem() > 0;
+        let mut rows: Vec<EdgePenalty> = self
+            .entries
+            .into_iter()
+            .enumerate()
+            .filter(|(id, e)| e.calls > 0 || (*id == 0 && root_traffic))
+            .map(|(_, mut e)| {
+                e.penalty_cycles = e.sr_loads * cost.load + e.sr_stores * cost.store;
+                e
+            })
+            .collect();
+        // ROOT_CALLER is u32::MAX, so plain (caller, callee) order puts the
+        // entry edge last.
+        rows.sort_unstable_by_key(|e| (e.caller, e.callee));
+        rows
+    }
+}
+
+/// Interns operands into value-file indices.
+struct Values {
+    num_regs: usize,
+    consts: Vec<i64>,
+    ids: HashMap<i64, u32>,
+}
+
+impl Values {
+    fn reg(&self, r: PReg) -> u32 {
+        assert!(r.index() < self.num_regs, "register {r} outside the file");
+        r.0 as u32
+    }
+
+    fn get(&mut self, o: MOperand) -> u32 {
+        match o {
+            MOperand::Reg(r) => self.reg(r),
+            MOperand::Imm(v) => *self.ids.entry(v).or_insert_with(|| {
+                self.consts.push(v);
+                u32_of(self.num_regs + self.consts.len() - 1)
+            }),
+        }
+    }
+}
+
+fn inst_cost(cost: &CostModel, inst: &MInst) -> u64 {
+    match inst {
+        MInst::Bin { op, .. } => cost.bin_op(*op),
+        MInst::Copy { .. } | MInst::Un { .. } | MInst::FuncAddr { .. } => cost.alu,
+        MInst::Load { .. } => cost.load,
+        MInst::Store { .. } => cost.store,
+        MInst::Call { .. } => cost.call,
+        MInst::Print { .. } => cost.print,
+    }
+}
+
+fn term_cost(cost: &CostModel, term: &MTerminator) -> u64 {
+    match term {
+        MTerminator::Ret => cost.ret,
+        MTerminator::Br(_) | MTerminator::CondBr { .. } => cost.branch,
+    }
+}
+
+fn u32_of(n: usize) -> u32 {
+    u32::try_from(n).expect("module exceeds the simulator's 32-bit limits")
+}
+
+/// Decodes `module`, returning the program, the initial memory (every
+/// global's cells, concatenated) and the ledger with its direct-call
+/// entries.
+fn decode(
+    module: &MModule,
+    regs: &RegFile,
+    opts: &SimOptions,
+    main: FuncId,
+) -> (Program, Vec<i64>, Ledger) {
+    let num_regs = regs.num_regs();
+    // Block addresses come first, so branches can name their targets.
+    let mut block_pc = Vec::new();
+    let mut first_block = Vec::with_capacity(module.funcs.len());
+    let mut len = 0usize;
+    for f in module.funcs.values() {
+        first_block.push(block_pc.len());
+        for b in f.blocks.values() {
+            block_pc.push(u32_of(len));
+            len += b.insts.len() + 1;
+        }
+    }
+
+    let mut globals = Vec::new();
+    let mut global_base = Vec::with_capacity(module.globals.len());
+    for g in module.globals.values() {
+        let base = globals.len();
+        global_base.push(u32_of(base));
+        globals.resize(base + g.size as usize, 0);
+        for (cell, init) in globals[base..].iter_mut().zip(&g.init) {
+            *cell = *init;
+        }
+    }
+
+    let mut vals = Values {
+        num_regs,
+        consts: Vec::new(),
+        ids: HashMap::new(),
+    };
+    let mut code = Vec::with_capacity(len);
+    let mut funcs = Vec::with_capacity(module.funcs.len());
+    let mut preserve = Vec::new();
+    let mut ledger = Ledger::new(module.funcs.len(), main);
+    let mut slot_off = Vec::new();
+    for (id, f) in module.funcs.iter() {
+        let fb = first_block[id.index()];
+        // Frame: the slots in id order, then the outgoing-argument area.
+        slot_off.clear();
+        let mut out_off = 0usize;
+        for s in f.frame.values() {
+            slot_off.push(u32_of(out_off));
+            out_off += s.size as usize;
+        }
+        let frame_size = out_off + f.max_outgoing as usize;
+
+        // One ledger entry per distinct direct callee.
+        let mut callees: Vec<u32> = f
+            .blocks
+            .values()
+            .flat_map(|b| &b.insts)
+            .filter_map(|i| match i {
+                MInst::Call {
+                    callee: MCallee::Direct(t),
+                    ..
+                } => Some(t.0),
+                _ => None,
+            })
+            .collect();
+        callees.sort_unstable();
+        callees.dedup();
+        for callee in callees {
+            ledger.id(id.index(), callee);
+        }
+
+        let start = preserve.len();
+        if let Some(masks) = &opts.preserve_masks {
+            let clobbers = masks[id.index()];
+            preserve.extend(
+                (0..num_regs as u8)
+                    .map(PReg)
+                    .filter(|r| !clobbers.contains(*r) && !opts.exempt.contains(*r)),
+            );
+        }
+
+        let ctx = FuncCtx {
+            f,
+            fb,
+            block_pc: &block_pc,
+            slot_off: &slot_off,
+            out_off: u32_of(out_off),
+            global_base: &global_base,
+            module,
+            known: &ledger.by_caller[id.index()],
+        };
+        for b in f.blocks.values() {
+            for inst in &b.insts {
+                code.push(Inst {
+                    cost: inst_cost(&opts.cost, inst),
+                    op: ctx.inst(inst, &mut vals),
+                });
+            }
+            code.push(Inst {
+                cost: term_cost(&opts.cost, &b.term),
+                op: ctx.term(&b.term, &mut vals),
+            });
+        }
+        let (entry_pc, entry_block) = ctx.block(f.entry);
+        funcs.push(FuncInfo {
+            first_block: u32_of(fb),
+            entry_block,
+            entry_pc,
+            frame_size,
+            out_off,
+            preserve: start..preserve.len(),
+        });
+    }
+    let prog = Program {
+        code,
+        block_pc,
+        funcs,
+        consts: vals.consts,
+        preserve,
+    };
+    (prog, globals, ledger)
+}
+
+/// Decode context for one function.
+struct FuncCtx<'a> {
+    f: &'a MFunction,
+    fb: usize,
+    block_pc: &'a [u32],
+    slot_off: &'a [u32],
+    out_off: u32,
+    global_base: &'a [u32],
+    module: &'a MModule,
+    known: &'a [(u32, u32)],
+}
+
+/// Where a decoded memory access reads or writes: the `in_frame`,
+/// `index`, `off` and `len` of an [`Op::Load`] or [`Op::Store`], or an
+/// incoming argument.
+enum Place {
+    Cells(bool, u32, u32, u32),
+    Incoming(u32),
+}
+
+impl FuncCtx<'_> {
+    /// Program counter and global number of local block `b`.
+    fn block(&self, b: BlockId) -> (u32, u32) {
+        assert!(b.index() < self.f.blocks.len(), "branch to missing {b}");
+        let g = self.fb + b.index();
+        (self.block_pc[g], u32_of(g))
+    }
+
+    fn place(&self, addr: MAddress, vals: &mut Values) -> Place {
+        match addr {
+            MAddress::Global { global, index } => Place::Cells(
+                false,
+                vals.get(index),
+                self.global_base[global.index()],
+                self.module.globals[global].size,
+            ),
+            MAddress::Frame { slot, index } => Place::Cells(
+                true,
+                vals.get(index),
+                self.slot_off[slot.index()],
+                self.f.frame[slot].size,
+            ),
+            MAddress::Incoming(i) => Place::Incoming(i),
+            MAddress::Outgoing(i) => Place::Cells(
+                true,
+                vals.get(MOperand::Imm(i64::from(i))),
+                self.out_off,
+                self.f.max_outgoing,
+            ),
+        }
+    }
+
+    fn inst(&self, inst: &MInst, vals: &mut Values) -> Op {
+        match *inst {
+            MInst::Copy { dst, src } => Op::Copy {
+                dst: vals.reg(dst),
+                src: vals.get(src),
+            },
+            MInst::Bin { op, dst, lhs, rhs } => Op::Bin {
+                op,
+                dst: vals.reg(dst),
+                lhs: vals.get(lhs),
+                rhs: vals.get(rhs),
+            },
+            MInst::Un { op, dst, src } => Op::Un {
+                op,
+                dst: vals.reg(dst),
+                src: vals.get(src),
+            },
+            MInst::Load { dst, addr, class } => {
+                let dst = vals.reg(dst);
+                match self.place(addr, vals) {
+                    Place::Cells(in_frame, index, off, len) => Op::Load {
+                        class,
+                        in_frame,
+                        dst,
+                        index,
+                        off,
+                        len,
+                    },
+                    Place::Incoming(i) => Op::LoadIncoming { class, dst, i },
+                }
+            }
+            MInst::Store { src, addr, class } => {
+                let src = vals.get(src);
+                match self.place(addr, vals) {
+                    Place::Cells(in_frame, index, off, len) => Op::Store {
+                        class,
+                        in_frame,
+                        src,
+                        index,
+                        off,
+                        len,
+                    },
+                    Place::Incoming(_) => Op::Fault,
+                }
+            }
+            MInst::Call {
+                callee,
+                num_stack_args: n,
+            } => {
+                let fits = n <= self.f.max_outgoing;
+                match callee {
+                    MCallee::Direct(t) if fits => {
+                        assert!(t.index() < self.module.funcs.len(), "call to missing {t}");
+                        let k = self
+                            .known
+                            .binary_search_by_key(&t.0, |&(c, _)| c)
+                            .expect("direct callees have ledger entries");
+                        Op::Call {
+                            callee: t.0,
+                            edge: self.known[k].1,
+                            n,
+                        }
+                    }
+                    MCallee::Direct(_) => Op::Fault,
+                    MCallee::Indirect(t) => Op::CallIndirect {
+                        target: vals.get(t),
+                        n,
+                        fits,
+                    },
+                }
+            }
+            MInst::FuncAddr { dst, func } => Op::Copy {
+                dst: vals.reg(dst),
+                src: vals.get(MOperand::Imm(func.index() as i64)),
+            },
+            MInst::Print { arg } => Op::Print { arg: vals.get(arg) },
+        }
+    }
+
+    fn term(&self, term: &MTerminator, vals: &mut Values) -> Op {
+        match *term {
+            MTerminator::Ret => Op::Ret,
+            MTerminator::Br(t) => {
+                let (pc, block) = self.block(t);
+                Op::Br { pc, block }
+            }
+            MTerminator::CondBr {
+                cond,
+                then_to,
+                else_to,
+            } => {
+                let (then_pc, then_block) = self.block(then_to);
+                let (else_pc, else_block) = self.block(else_to);
+                Op::CondBr {
+                    cond: vals.get(cond),
+                    then_pc,
+                    then_block,
+                    else_pc,
+                    else_block,
+                }
+            }
+        }
+    }
+}
+
+/// The source instruction decoded at `pc` (never a terminator: only
+/// instructions trap with a description).
+fn source_inst<'m>(module: &'m MModule, prog: &Program, pc: usize) -> &'m MInst {
+    let block = prog.block_pc.partition_point(|&s| s as usize <= pc) - 1;
+    let func = prog
+        .funcs
+        .partition_point(|f| f.first_block as usize <= block)
+        - 1;
+    let f = &module.funcs[FuncId(func as u32)];
+    let b = &f.blocks[BlockId((block - prog.funcs[func].first_block as usize) as u32)];
+    &b.insts[pc - prog.block_pc[block] as usize]
+}
+
+/// The out-of-bounds trap of the access at `pc` with offending `index`;
+/// the object's description comes from the source instruction.
+fn out_of_bounds(module: &MModule, prog: &Program, pc: usize, index: i64) -> SimTrap {
+    let inst = source_inst(module, prog, pc);
+    let what = match *inst {
+        MInst::Load { addr, .. } | MInst::Store { addr, .. } => match addr {
+            MAddress::Global { global, .. } => {
+                format!("global `{}`", module.globals[global].name)
+            }
+            MAddress::Frame { slot, .. } => format!("frame slot {slot}"),
+            MAddress::Incoming(_) if matches!(inst, MInst::Store { .. }) => {
+                "incoming arguments (write)".into()
+            }
+            MAddress::Incoming(_) => "incoming arguments".into(),
+            MAddress::Outgoing(_) => "outgoing arguments".into(),
+        },
+        MInst::Call { .. } => "outgoing-argument area".into(),
+        ref other => unreachable!("{other:?} has no bounds"),
+    };
+    SimTrap::OutOfBounds { what, index }
+}
+
+/// The trap of an [`Op::Fault`] at `pc`.
+fn fault(module: &MModule, prog: &Program, pc: usize) -> SimTrap {
+    let index = match *source_inst(module, prog, pc) {
+        MInst::Store {
+            addr: MAddress::Incoming(i),
+            ..
+        } => i64::from(i),
+        MInst::Call { num_stack_args, .. } => i64::from(num_stack_args) - 1,
+        ref other => unreachable!("{other:?} cannot fault"),
+    };
+    out_of_bounds(module, prog, pc, index)
+}
+
+/// Where an activation is: the current one lives in a local, suspended
+/// callers on a stack.
+#[derive(Clone, Copy)]
 struct Activation {
-    func: FuncId,
-    block: BlockId,
-    ip: usize,
-    slots: Vec<Vec<i64>>,
-    incoming: Vec<i64>,
-    outgoing: Vec<i64>,
-    /// Register values the returning function must reproduce (convention
-    /// checking only).
-    preserved: Option<Vec<(PReg, i64)>>,
-    /// The call edge `(caller, callee)` that created this activation;
-    /// `(ROOT_CALLER, main)` for the program entry. Save/restore and spill
-    /// traffic executed by this activation is charged to this edge.
-    edge: (u32, u32),
+    /// Next instruction.
+    pc: usize,
+    func: usize,
+    /// Start of the activation's frame in memory.
+    fp: usize,
+    /// Its incoming stack arguments: `in_len` cells at `in_base`, the
+    /// first cells of the caller's outgoing-argument area.
+    in_base: usize,
+    in_len: usize,
+    /// Ledger id of the call edge that created it.
+    edge: usize,
+    /// Start of its preserved register values.
+    saved_base: usize,
 }
 
 /// Runs `main` of a lowered module.
@@ -168,397 +754,256 @@ struct Activation {
 /// Returns the [`SimTrap`] that stopped execution.
 pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimResult, SimTrap> {
     let main = module.main.ok_or(SimTrap::NoMain)?;
+    // Memory holds the globals, then one frame per activation.
+    let (prog, mut mem, mut ledger) = decode(module, regs, opts, main);
+    let (code, funcs) = (&prog.code, &prog.funcs);
 
-    let mut reg_file = vec![0i64; regs.num_regs()];
-    let mut globals: Vec<Vec<i64>> = module
-        .globals
-        .values()
-        .map(|g| {
-            let mut v = vec![0i64; g.size as usize];
-            for (i, init) in g.init.iter().enumerate().take(g.size as usize) {
-                v[i] = *init;
-            }
-            v
-        })
-        .collect();
+    let mut vals = vec![0i64; regs.num_regs()];
+    vals.extend_from_slice(&prog.consts);
+    let mut block_counts = vec![0u64; prog.block_pc.len()];
+    let mut saved: Vec<i64> = Vec::new();
+    let mut callers: Vec<Activation> = Vec::new();
+    let mut depth_hist = Log2Histogram::new();
     let mut output = Vec::new();
-    let mut stats = Stats {
-        per_func: vec![FuncStats::default(); module.funcs.len()],
-        ..Stats::default()
-    };
-    // One ledger entry per dynamic call edge: call counts and the
-    // save/restore + spill traffic charged to activations the edge created.
-    let mut edge_pen: std::collections::HashMap<(u32, u32), EdgePenalty> =
-        std::collections::HashMap::new();
+    let mut cycles = 0u64;
 
-    let new_activation = |module: &MModule, func: FuncId, incoming: Vec<i64>| -> Activation {
-        let f = &module.funcs[func];
-        Activation {
-            func,
-            block: f.entry,
-            ip: 0,
-            slots: f
-                .frame
-                .values()
-                .map(|s| vec![0i64; s.size as usize])
-                .collect(),
-            incoming,
-            outgoing: vec![0i64; f.max_outgoing as usize],
-            preserved: None,
-            edge: (ROOT_CALLER, func.0),
-        }
-    };
-
-    let snapshot =
-        |opts: &SimOptions, func: FuncId, regs_now: &[i64]| -> Option<Vec<(PReg, i64)>> {
-            opts.preserve_masks.as_ref().map(|masks| {
-                let clobbers = masks[func.index()];
-                (0..regs_now.len() as u8)
-                    .map(PReg)
-                    .filter(|r| !clobbers.contains(*r) && !opts.exempt.contains(*r))
-                    .map(|r| (r, regs_now[r.index()]))
-                    .collect()
-            })
-        };
-
-    let mut profile: Option<Vec<Vec<u64>>> = if opts.collect_block_profile {
-        Some(
-            module
-                .funcs
-                .values()
-                .map(|f| vec![0u64; f.blocks.len()])
-                .collect(),
-        )
-    } else {
-        None
-    };
-
-    let mut stack: Vec<Activation> = Vec::new();
-    let mut cur = new_activation(module, main, Vec::new());
-    cur.preserved = snapshot(opts, main, &reg_file);
-    stats.record_depth(1);
-    if let Some(p) = profile.as_mut() {
-        p[cur.func.index()][cur.block.index()] += 1;
-    }
-
-    // Cycles are attributed to the currently-executing activation, so the
-    // call cost lands on the caller and the return cost on the callee.
-    macro_rules! charge {
-        ($n:expr) => {{
-            let n = $n;
-            stats.cycles += n;
-            stats.per_func[cur.func.index()].cycles += n;
-            if stats.cycles > opts.fuel {
-                return Err(SimTrap::OutOfFuel);
+    // Starts `func` with a zeroed frame, snapshotting the registers it
+    // must preserve.
+    macro_rules! enter {
+        ($func:expr, $edge:expr, $in_base:expr, $in_len:expr) => {{
+            let info = &funcs[$func];
+            let fp = mem.len();
+            mem.resize(fp + info.frame_size, 0);
+            let saved_base = saved.len();
+            let must = &prog.preserve[info.preserve.clone()];
+            saved.extend(must.iter().map(|r| vals[r.index()]));
+            depth_hist.observe(callers.len() as u64 + 1);
+            block_counts[info.entry_block as usize] += 1;
+            Activation {
+                pc: info.entry_pc as usize,
+                func: $func,
+                fp,
+                in_base: $in_base,
+                in_len: $in_len,
+                edge: $edge,
+                saved_base,
             }
         }};
     }
+    // `main` has no caller and no stack arguments.
+    let mut cur = enter!(main.index(), 0, 0, 0);
 
     loop {
-        let func: &MFunction = &module.funcs[cur.func];
-        let block = &func.blocks[cur.block];
-
-        if cur.ip < block.insts.len() {
-            let inst = &block.insts[cur.ip];
-            cur.ip += 1;
-            stats.insts += 1;
-            stats.per_func[cur.func.index()].insts += 1;
-
-            let read = |regs_now: &[i64], o: MOperand| -> i64 {
-                match o {
-                    MOperand::Reg(r) => regs_now[r.index()],
-                    MOperand::Imm(i) => i,
+        let Inst { cost, op } = code[cur.pc];
+        cycles += cost;
+        if cycles > opts.fuel {
+            return Err(SimTrap::OutOfFuel);
+        }
+        let at = cur.pc;
+        cur.pc += 1;
+        let (callee, edge, n) = match op {
+            Op::Copy { dst, src } => {
+                vals[dst as usize] = vals[src as usize];
+                continue;
+            }
+            Op::Bin { op, dst, lhs, rhs } => {
+                let v = op.eval(vals[lhs as usize], vals[rhs as usize]);
+                vals[dst as usize] = v.ok_or(SimTrap::DivideByZero)?;
+                continue;
+            }
+            Op::Un { op, dst, src } => {
+                vals[dst as usize] = op.eval(vals[src as usize]);
+                continue;
+            }
+            Op::Load {
+                class,
+                in_frame,
+                dst,
+                index,
+                off,
+                len,
+            } => {
+                let i = vals[index as usize];
+                if i as u64 >= u64::from(len) {
+                    return Err(out_of_bounds(module, &prog, at, i));
                 }
-            };
-
-            match inst {
-                MInst::Copy { dst, src } => {
-                    charge!(opts.cost.alu);
-                    reg_file[dst.index()] = read(&reg_file, *src);
+                let base = if in_frame { cur.fp } else { 0 };
+                vals[dst as usize] = mem[base + off as usize + i as usize];
+                ledger.count_load(cur.edge, class);
+                continue;
+            }
+            Op::Store {
+                class,
+                in_frame,
+                src,
+                index,
+                off,
+                len,
+            } => {
+                let i = vals[index as usize];
+                if i as u64 >= u64::from(len) {
+                    return Err(out_of_bounds(module, &prog, at, i));
                 }
-                MInst::Bin { op, dst, lhs, rhs } => {
-                    charge!(opts.cost.bin_op(*op));
-                    let a = read(&reg_file, *lhs);
-                    let b = read(&reg_file, *rhs);
-                    reg_file[dst.index()] = op.eval(a, b).ok_or(SimTrap::DivideByZero)?;
+                let base = if in_frame { cur.fp } else { 0 };
+                mem[base + off as usize + i as usize] = vals[src as usize];
+                ledger.count_store(cur.edge, class);
+                continue;
+            }
+            Op::LoadIncoming { class, dst, i } => {
+                if i as usize >= cur.in_len {
+                    return Err(out_of_bounds(module, &prog, at, i64::from(i)));
                 }
-                MInst::Un { op, dst, src } => {
-                    charge!(opts.cost.alu);
-                    reg_file[dst.index()] = op.eval(read(&reg_file, *src));
-                }
-                MInst::Load { dst, addr, class } => {
-                    charge!(opts.cost.load);
-                    stats.count_load(*class);
-                    stats.per_func[cur.func.index()].count_load(*class);
-                    match class {
-                        MemClass::SaveRestore => {
-                            let e = edge_pen.entry(cur.edge).or_default();
-                            e.sr_loads += 1;
-                            e.penalty_cycles += opts.cost.load;
-                        }
-                        MemClass::Spill => {
-                            edge_pen.entry(cur.edge).or_default().spill_loads += 1;
-                        }
-                        _ => {}
-                    }
-                    let v = read_mem(module, &globals, &cur, &reg_file, *addr)?;
-                    reg_file[dst.index()] = v;
-                }
-                MInst::Store { src, addr, class } => {
-                    charge!(opts.cost.store);
-                    stats.count_store(*class);
-                    stats.per_func[cur.func.index()].count_store(*class);
-                    match class {
-                        MemClass::SaveRestore => {
-                            let e = edge_pen.entry(cur.edge).or_default();
-                            e.sr_stores += 1;
-                            e.penalty_cycles += opts.cost.store;
-                        }
-                        MemClass::Spill => {
-                            edge_pen.entry(cur.edge).or_default().spill_stores += 1;
-                        }
-                        _ => {}
-                    }
-                    let v = read(&reg_file, *src);
-                    write_mem(module, &mut globals, &mut cur, &reg_file, *addr, v)?;
-                }
-                MInst::Call {
-                    callee,
-                    num_stack_args,
-                } => {
-                    charge!(opts.cost.call);
-                    stats.calls += 1;
-                    stats.per_func[cur.func.index()].calls += 1;
-                    let target = match callee {
-                        MCallee::Direct(id) => *id,
-                        MCallee::Indirect(t) => {
-                            let raw = read(&reg_file, *t);
-                            if raw < 0 || raw as usize >= module.funcs.len() {
-                                return Err(SimTrap::BadIndirectTarget(raw));
-                            }
-                            FuncId(raw as u32)
-                        }
-                    };
-                    // The first cells of the caller's outgoing area become
-                    // the callee's incoming stack arguments (the two areas
-                    // coincide across the frame boundary on a real stack).
-                    let n = *num_stack_args as usize;
-                    if n > cur.outgoing.len() {
-                        return Err(SimTrap::OutOfBounds {
-                            what: "outgoing-argument area".into(),
-                            index: n as i64 - 1,
+                vals[dst as usize] = mem[cur.in_base + i as usize];
+                ledger.count_load(cur.edge, class);
+                continue;
+            }
+            Op::Print { arg } => {
+                output.push(vals[arg as usize]);
+                continue;
+            }
+            Op::Br { pc, block } => {
+                cur.pc = pc as usize;
+                block_counts[block as usize] += 1;
+                continue;
+            }
+            Op::CondBr {
+                cond,
+                then_pc,
+                then_block,
+                else_pc,
+                else_block,
+            } => {
+                let (pc, block) = if vals[cond as usize] != 0 {
+                    (then_pc, then_block)
+                } else {
+                    (else_pc, else_block)
+                };
+                cur.pc = pc as usize;
+                block_counts[block as usize] += 1;
+                continue;
+            }
+            Op::Ret => {
+                let must = &prog.preserve[funcs[cur.func].preserve.clone()];
+                for (&reg, &before) in must.iter().zip(&saved[cur.saved_base..]) {
+                    let after = vals[reg.index()];
+                    if after != before {
+                        return Err(SimTrap::ConventionViolation {
+                            func: module.funcs[FuncId(cur.func as u32)].name.clone(),
+                            reg,
+                            before,
+                            after,
                         });
                     }
-                    let incoming = cur.outgoing[..n].to_vec();
-                    if stack.len() + 1 >= opts.max_depth {
-                        return Err(SimTrap::StackOverflow);
-                    }
-                    edge_pen.entry((cur.func.0, target.0)).or_default().calls += 1;
-                    let mut callee_act = new_activation(module, target, incoming);
-                    callee_act.edge = (cur.func.0, target.0);
-                    callee_act.preserved = snapshot(opts, target, &reg_file);
-                    stack.push(std::mem::replace(&mut cur, callee_act));
-                    stats.record_depth(stack.len() + 1);
-                    if let Some(p) = profile.as_mut() {
-                        p[cur.func.index()][cur.block.index()] += 1;
-                    }
                 }
-                MInst::FuncAddr { dst, func } => {
-                    charge!(opts.cost.alu);
-                    reg_file[dst.index()] = func.index() as i64;
+                saved.truncate(cur.saved_base);
+                mem.truncate(cur.fp);
+                match callers.pop() {
+                    Some(caller) => cur = caller,
+                    None => break,
                 }
-                MInst::Print { arg } => {
-                    charge!(opts.cost.print);
-                    output.push(read(&reg_file, *arg));
-                }
+                continue;
             }
-        } else {
-            stats.insts += 1;
-            stats.per_func[cur.func.index()].insts += 1;
-            match block.term {
-                MTerminator::Ret => {
-                    charge!(opts.cost.ret);
-                    if let Some(preserved) = &cur.preserved {
-                        for &(r, before) in preserved {
-                            let after = reg_file[r.index()];
-                            if after != before {
-                                return Err(SimTrap::ConventionViolation {
-                                    func: func.name.clone(),
-                                    reg: r,
-                                    before,
-                                    after,
-                                });
-                            }
-                        }
-                    }
-                    match stack.pop() {
-                        Some(parent) => cur = parent,
-                        None => {
-                            let mut ledger: Vec<EdgePenalty> = edge_pen
-                                .into_iter()
-                                .map(|((a, b), e)| EdgePenalty {
-                                    caller: a,
-                                    callee: b,
-                                    ..e
-                                })
-                                .collect();
-                            // ROOT_CALLER is u32::MAX, so plain (caller,
-                            // callee) order puts the entry edge last.
-                            ledger.sort_unstable_by_key(|e| (e.caller, e.callee));
-                            stats.call_edges = ledger
-                                .iter()
-                                .filter(|e| e.calls > 0)
-                                .map(|e| (e.caller, e.callee, e.calls))
-                                .collect();
-                            stats.edge_penalty = ledger;
-                            return Ok(SimResult {
-                                output,
-                                return_value: reg_file[regs.ret_reg().index()],
-                                stats,
-                                block_profile: profile,
-                            });
-                        }
-                    }
+            Op::Fault => return Err(fault(module, &prog, at)),
+            Op::Call { callee, edge, n } => (callee as usize, edge as usize, n as usize),
+            Op::CallIndirect { target, n, fits } => {
+                let raw = vals[target as usize];
+                if raw < 0 || raw as usize >= funcs.len() {
+                    return Err(SimTrap::BadIndirectTarget(raw));
                 }
-                MTerminator::Br(t) => {
-                    charge!(opts.cost.branch);
-                    cur.block = t;
-                    cur.ip = 0;
-                    if let Some(p) = profile.as_mut() {
-                        p[cur.func.index()][cur.block.index()] += 1;
-                    }
+                if !fits {
+                    return Err(out_of_bounds(module, &prog, at, i64::from(n) - 1));
                 }
-                MTerminator::CondBr {
-                    cond,
-                    then_to,
-                    else_to,
-                } => {
-                    charge!(opts.cost.branch);
-                    let c = match cond {
-                        MOperand::Reg(r) => reg_file[r.index()],
-                        MOperand::Imm(i) => i,
-                    };
-                    cur.block = if c != 0 { then_to } else { else_to };
-                    cur.ip = 0;
-                    if let Some(p) = profile.as_mut() {
-                        p[cur.func.index()][cur.block.index()] += 1;
-                    }
-                }
+                let edge = ledger.id(cur.func, raw as u32);
+                (raw as usize, edge, n as usize)
             }
+        };
+        // A call. The first `n` cells of the caller's outgoing area become
+        // the callee's incoming stack arguments (the two areas coincide
+        // across the frame boundary on a real stack).
+        if callers.len() + 1 >= opts.max_depth {
+            return Err(SimTrap::StackOverflow);
+        }
+        ledger.entries[edge].calls += 1;
+        let in_base = cur.fp + funcs[cur.func].out_off;
+        callers.push(cur);
+        cur = enter!(callee, edge, in_base, n);
+    }
+
+    let per_func = per_function_stats(module, &opts.cost, &prog, &block_counts);
+    let mut stats = Stats {
+        cycles,
+        depth_hist,
+        ..Stats::default()
+    };
+    for f in &per_func {
+        stats.insts += f.insts;
+        stats.calls += f.calls;
+        for c in 0..4 {
+            stats.loads_by_class[c] += f.loads_by_class[c];
+            stats.stores_by_class[c] += f.stores_by_class[c];
         }
     }
+    debug_assert_eq!(cycles, per_func.iter().map(|f| f.cycles).sum::<u64>());
+    stats.per_func = per_func;
+
+    let rows = ledger.into_rows(&opts.cost);
+    stats.call_edges = rows
+        .iter()
+        .filter(|e| e.calls > 0)
+        .map(|e| (e.caller, e.callee, e.calls))
+        .collect();
+    stats.edge_penalty = rows;
+
+    let block_profile = opts.collect_block_profile.then(|| {
+        prog.funcs
+            .iter()
+            .zip(module.funcs.values())
+            .map(|(info, f)| {
+                let fb = info.first_block as usize;
+                block_counts[fb..fb + f.blocks.len()].to_vec()
+            })
+            .collect()
+    });
+    Ok(SimResult {
+        output,
+        return_value: vals[regs.ret_reg().index()],
+        stats,
+        block_profile,
+    })
 }
 
-fn read_mem(
+/// Per-function counts of a finished run. Every block a run enters runs
+/// to its end before `main` returns, so each count is the block's entry
+/// count times what the block contains.
+fn per_function_stats(
     module: &MModule,
-    globals: &[Vec<i64>],
-    cur: &Activation,
-    regs: &[i64],
-    addr: MAddress,
-) -> Result<i64, SimTrap> {
-    let idx = |o: MOperand| -> i64 {
-        match o {
-            MOperand::Reg(r) => regs[r.index()],
-            MOperand::Imm(i) => i,
-        }
-    };
-    match addr {
-        MAddress::Global { global, index } => {
-            let i = idx(index);
-            let g = &globals[global.index()];
-            if i < 0 || i as usize >= g.len() {
-                return Err(SimTrap::OutOfBounds {
-                    what: format!("global `{}`", module.globals[global].name),
-                    index: i,
-                });
+    cost: &CostModel,
+    prog: &Program,
+    block_counts: &[u64],
+) -> Vec<FuncStats> {
+    prog.funcs
+        .iter()
+        .zip(module.funcs.values())
+        .map(|(info, f)| {
+            let mut s = FuncStats::default();
+            let counts = &block_counts[info.first_block as usize..];
+            for (b, &n) in f.blocks.values().zip(counts) {
+                if n == 0 {
+                    continue;
+                }
+                s.insts += n * (b.insts.len() as u64 + 1);
+                s.cycles += n * term_cost(cost, &b.term);
+                for inst in &b.insts {
+                    s.cycles += n * inst_cost(cost, inst);
+                    match inst {
+                        MInst::Load { class, .. } => s.loads_by_class[class_index(*class)] += n,
+                        MInst::Store { class, .. } => s.stores_by_class[class_index(*class)] += n,
+                        MInst::Call { .. } => s.calls += n,
+                        _ => {}
+                    }
+                }
             }
-            Ok(g[i as usize])
-        }
-        MAddress::Frame { slot, index } => {
-            let i = idx(index);
-            let s = &cur.slots[slot.index()];
-            if i < 0 || i as usize >= s.len() {
-                return Err(SimTrap::OutOfBounds {
-                    what: format!("frame slot {slot}"),
-                    index: i,
-                });
-            }
-            Ok(s[i as usize])
-        }
-        MAddress::Incoming(i) => {
-            cur.incoming
-                .get(i as usize)
-                .copied()
-                .ok_or(SimTrap::OutOfBounds {
-                    what: "incoming arguments".into(),
-                    index: i as i64,
-                })
-        }
-        MAddress::Outgoing(i) => {
-            cur.outgoing
-                .get(i as usize)
-                .copied()
-                .ok_or(SimTrap::OutOfBounds {
-                    what: "outgoing arguments".into(),
-                    index: i as i64,
-                })
-        }
-    }
-}
-
-fn write_mem(
-    module: &MModule,
-    globals: &mut [Vec<i64>],
-    cur: &mut Activation,
-    regs: &[i64],
-    addr: MAddress,
-    value: i64,
-) -> Result<(), SimTrap> {
-    let idx = |o: MOperand| -> i64 {
-        match o {
-            MOperand::Reg(r) => regs[r.index()],
-            MOperand::Imm(i) => i,
-        }
-    };
-    match addr {
-        MAddress::Global { global, index } => {
-            let i = idx(index);
-            let g = &mut globals[global.index()];
-            if i < 0 || i as usize >= g.len() {
-                return Err(SimTrap::OutOfBounds {
-                    what: format!("global `{}`", module.globals[global].name),
-                    index: i,
-                });
-            }
-            g[i as usize] = value;
-            Ok(())
-        }
-        MAddress::Frame { slot, index } => {
-            let i = idx(index);
-            let s = &mut cur.slots[slot.index()];
-            if i < 0 || i as usize >= s.len() {
-                return Err(SimTrap::OutOfBounds {
-                    what: format!("frame slot {slot}"),
-                    index: i,
-                });
-            }
-            s[i as usize] = value;
-            Ok(())
-        }
-        MAddress::Incoming(i) => Err(SimTrap::OutOfBounds {
-            what: "incoming arguments (write)".into(),
-            index: i as i64,
-        }),
-        MAddress::Outgoing(i) => {
-            let slot = cur
-                .outgoing
-                .get_mut(i as usize)
-                .ok_or(SimTrap::OutOfBounds {
-                    what: "outgoing arguments".into(),
-                    index: i as i64,
-                })?;
-            *slot = value;
-            Ok(())
-        }
-    }
+            s
+        })
+        .collect()
 }

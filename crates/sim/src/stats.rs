@@ -123,7 +123,7 @@ pub struct Stats {
     pub edge_penalty: Vec<EdgePenalty>,
 }
 
-fn class_index(c: MemClass) -> usize {
+pub(crate) fn class_index(c: MemClass) -> usize {
     match c {
         MemClass::Data => 0,
         MemClass::ScalarHome => 1,
