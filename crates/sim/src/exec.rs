@@ -209,13 +209,15 @@ enum Op {
         dst: u32,
         i: u32,
     },
-    /// A direct call passing `n` stack arguments, charged to ledger `edge`.
+    /// A direct call passing `n` stack arguments, charged to ledger
+    /// entry `edge`. `fits` is false when `n` exceeds the caller's
+    /// outgoing area.
     Call {
         callee: u32,
         edge: u32,
         n: u32,
+        fits: bool,
     },
-    /// `fits` is false when `n` exceeds the caller's outgoing area.
     CallIndirect {
         target: u32,
         n: u32,
@@ -237,10 +239,6 @@ enum Op {
         else_pc: u32,
         else_block: u32,
     },
-    /// An access that is out of bounds whenever it runs: a store to an
-    /// incoming argument, or a direct call passing more stack arguments
-    /// than the caller's outgoing area holds.
-    Fault,
 }
 
 /// What a function's activations need, resolved at decode.
@@ -617,7 +615,15 @@ impl FuncCtx<'_> {
                         off,
                         len,
                     },
-                    Place::Incoming(_) => Op::Fault,
+                    // Incoming arguments are read-only: an empty range.
+                    Place::Incoming(i) => Op::Store {
+                        class,
+                        in_frame: false,
+                        src,
+                        index: vals.get(MOperand::Imm(i64::from(i))),
+                        off: 0,
+                        len: 0,
+                    },
                 }
             }
             MInst::Call {
@@ -626,7 +632,7 @@ impl FuncCtx<'_> {
             } => {
                 let fits = n <= self.f.max_outgoing;
                 match callee {
-                    MCallee::Direct(t) if fits => {
+                    MCallee::Direct(t) => {
                         assert!(t.index() < self.module.funcs.len(), "call to missing {t}");
                         let k = self
                             .known
@@ -636,9 +642,9 @@ impl FuncCtx<'_> {
                             callee: t.0,
                             edge: self.known[k].1,
                             n,
+                            fits,
                         }
                     }
-                    MCallee::Direct(_) => Op::Fault,
                     MCallee::Indirect(t) => Op::CallIndirect {
                         target: vals.get(t),
                         n,
@@ -715,19 +721,6 @@ fn out_of_bounds(module: &MModule, prog: &Program, pc: usize, index: i64) -> Sim
     SimTrap::OutOfBounds { what, index }
 }
 
-/// The trap of an [`Op::Fault`] at `pc`.
-fn fault(module: &MModule, prog: &Program, pc: usize) -> SimTrap {
-    let index = match *source_inst(module, prog, pc) {
-        MInst::Store {
-            addr: MAddress::Incoming(i),
-            ..
-        } => i64::from(i),
-        MInst::Call { num_stack_args, .. } => i64::from(num_stack_args) - 1,
-        ref other => unreachable!("{other:?} cannot fault"),
-    };
-    out_of_bounds(module, prog, pc, index)
-}
-
 /// Where an activation is: the current one lives in a local, suspended
 /// callers on a stack.
 #[derive(Clone, Copy)]
@@ -801,7 +794,7 @@ pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimRes
         }
         let at = cur.pc;
         cur.pc += 1;
-        let (callee, edge, n) = match op {
+        let (callee, edge, n, fits) = match op {
             Op::Copy { dst, src } => {
                 vals[dst as usize] = vals[src as usize];
                 continue;
@@ -903,30 +896,33 @@ pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimRes
                 }
                 continue;
             }
-            Op::Fault => return Err(fault(module, &prog, at)),
-            Op::Call { callee, edge, n } => (callee as usize, edge as usize, n as usize),
+            Op::Call {
+                callee,
+                edge,
+                n,
+                fits,
+            } => (callee as usize, edge as usize, n, fits),
             Op::CallIndirect { target, n, fits } => {
                 let raw = vals[target as usize];
                 if raw < 0 || raw as usize >= funcs.len() {
                     return Err(SimTrap::BadIndirectTarget(raw));
                 }
-                if !fits {
-                    return Err(out_of_bounds(module, &prog, at, i64::from(n) - 1));
-                }
-                let edge = ledger.id(cur.func, raw as u32);
-                (raw as usize, edge, n as usize)
+                (raw as usize, ledger.id(cur.func, raw as u32), n, fits)
             }
         };
         // A call. The first `n` cells of the caller's outgoing area become
         // the callee's incoming stack arguments (the two areas coincide
         // across the frame boundary on a real stack).
+        if !fits {
+            return Err(out_of_bounds(module, &prog, at, i64::from(n) - 1));
+        }
         if callers.len() + 1 >= opts.max_depth {
             return Err(SimTrap::StackOverflow);
         }
         ledger.entries[edge].calls += 1;
         let in_base = cur.fp + funcs[cur.func].out_off;
         callers.push(cur);
-        cur = enter!(callee, edge, in_base, n);
+        cur = enter!(callee, edge, in_base, n as usize);
     }
 
     let per_func = per_function_stats(module, &opts.cost, &prog, &block_counts);
