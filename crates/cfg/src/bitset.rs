@@ -174,17 +174,102 @@ impl BitSet {
 
     /// Iterates over elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        iter_words(&self.words)
+    }
+
+    /// The backing words: element `i` is bit `i % 64` of word `i / 64`.
+    /// Bits at or past the capacity are always zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 }
 
-/// Iterator over the elements of a [`BitSet`].
+/// Iterates over the set bits of a word slice laid out like
+/// [`BitSet::words`], in increasing order.
+pub fn iter_words(words: &[u64]) -> Iter<'_> {
+    Iter {
+        words,
+        word_idx: 0,
+        current: words.first().copied().unwrap_or(0),
+    }
+}
+
+/// Makes the square bit matrix `rows` symmetric and irreflexive:
+/// `rows |= rowsᵀ`, then the diagonal is cleared. Row `i` is the set of
+/// columns related to `i`, over `0..rows.len()`.
+///
+/// The matrix is processed in 64×64 tiles: tile `(I, J)` and its mirror
+/// `(J, I)` are each transposed in registers and ORed into the other, so
+/// the work is word-parallel rather than one insertion per set bit. A
+/// pair of all-zero tiles costs only the loads that find it empty.
+///
+/// # Panics
+///
+/// Panics unless every row's capacity equals the number of rows.
+pub fn symmetrize(rows: &mut [BitSet]) {
+    let n = rows.len();
+    assert!(
+        rows.iter().all(|r| r.capacity == n),
+        "symmetrize needs a square matrix"
+    );
+    let tiles = n.div_ceil(64);
+    for ti in 0..tiles {
+        for tj in ti..tiles {
+            let a = load_tile(rows, ti, tj);
+            let b = if ti == tj { a } else { load_tile(rows, tj, ti) };
+            if a == [0; 64] && b == [0; 64] {
+                continue;
+            }
+            or_tile(rows, ti, tj, &transpose64(b));
+            if ti != tj {
+                or_tile(rows, tj, ti, &transpose64(a));
+            }
+        }
+    }
+    for (i, row) in rows.iter_mut().enumerate() {
+        row.remove(i);
+    }
+}
+
+/// Word `tj` of rows `64·ti .. 64·ti + 64` (missing rows read as zero).
+fn load_tile(rows: &[BitSet], ti: usize, tj: usize) -> [u64; 64] {
+    let mut tile = [0; 64];
+    for (t, row) in tile.iter_mut().zip(&rows[ti * 64..]) {
+        *t = row.words[tj];
+    }
+    tile
+}
+
+/// ORs `tile` into word `tj` of rows `64·ti .. 64·ti + 64`.
+fn or_tile(rows: &mut [BitSet], ti: usize, tj: usize, tile: &[u64; 64]) {
+    for (row, t) in rows[ti * 64..].iter_mut().zip(tile) {
+        row.words[tj] |= t;
+    }
+}
+
+/// Transposes a 64×64 bit matrix (row `k` is word `k`, column `c` is bit
+/// `c`) by recursive block swaps: the off-diagonal 32×32 quadrants, then
+/// the 16×16 blocks inside each quadrant, down to single bits.
+fn transpose64(mut m: [u64; 64]) -> [u64; 64] {
+    let mut width = 32;
+    let mut low: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((m[k] >> width) ^ m[k + width]) & low;
+            m[k] ^= t << width;
+            m[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        low ^= low << width;
+    }
+    m
+}
+
+/// Iterator over the elements of a [`BitSet`] or a word slice.
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
@@ -200,10 +285,10 @@ impl Iterator for Iter<'_> {
                 return Some(self.word_idx * 64 + bit);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
+            if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_idx];
+            self.current = self.words[self.word_idx];
         }
     }
 }
@@ -330,6 +415,87 @@ mod tests {
         scratch.copy_from(&small);
         assert!(scratch.insert(0));
         assert_eq!(scratch.iter().collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    /// xorshift64: deterministic test input without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// The closure `symmetrize` must equal: drop the diagonal, then one
+    /// reverse insertion per set bit.
+    fn symmetrize_bit_by_bit(rows: &mut [BitSet]) {
+        for v in 0..rows.len() {
+            rows[v].remove(v);
+            let row = rows[v].clone();
+            for u in row.iter() {
+                rows[u].insert(v);
+            }
+        }
+    }
+
+    #[test]
+    fn transpose64_matches_the_definition() {
+        let mut state = 0x9E37_79B9_7F4A_7C15;
+        let mut m = [0u64; 64];
+        for w in m.iter_mut() {
+            *w = next(&mut state);
+        }
+        let t = transpose64(m);
+        for (r, row) in m.iter().enumerate() {
+            for (c, col) in t.iter().enumerate() {
+                assert_eq!(row >> c & 1, col >> r & 1, "({r}, {c})");
+            }
+        }
+        assert_eq!(transpose64(t), m, "transposing twice is the identity");
+    }
+
+    #[test]
+    fn symmetrize_equals_the_bit_by_bit_closure() {
+        let mut state = 0x2545_F491_4F6C_DD1D;
+        for n in [0usize, 1, 63, 64, 65, 127, 128, 129, 300] {
+            // Density in 1/64ths: empty, sparse, a few per row, half, full.
+            for per_64 in [0u64, 1, 4, 32, 64] {
+                let mut rows: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+                for row in rows.iter_mut() {
+                    for c in 0..n {
+                        if next(&mut state) % 64 < per_64 {
+                            row.insert(c);
+                        }
+                    }
+                }
+                let mut want = rows.clone();
+                symmetrize_bit_by_bit(&mut want);
+                symmetrize(&mut rows);
+                assert_eq!(rows, want, "n={n} density={per_64}/64");
+                for (i, row) in rows.iter().enumerate() {
+                    assert!(!row.contains(i), "n={n}: diagonal bit {i} survives");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn symmetrize_handles_one_edge_between_distant_tiles() {
+        // One edge between the first and the last tile; every other tile
+        // pair is all-zero and skipped.
+        let n = 300;
+        let mut rows: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+        rows[299].insert(3);
+        symmetrize(&mut rows);
+        assert_eq!(rows[3].iter().collect::<Vec<_>>(), vec![299]);
+        assert_eq!(rows[299].iter().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(rows.iter().map(BitSet::count).sum::<usize>(), 2);
+    }
+
+    #[test]
+    fn iter_words_walks_a_raw_slice() {
+        let words = [0b101u64, 0, 1 << 63];
+        assert_eq!(iter_words(&words).collect::<Vec<_>>(), vec![0, 2, 191]);
+        assert_eq!(iter_words(&[]).count(), 0);
     }
 
     #[test]

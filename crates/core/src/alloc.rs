@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ipra_cfg::{Cfg, Liveness, LoopInfo};
-use ipra_ir::{hash_function, FuncId, InstLoc, Module, Operand};
+use ipra_ir::{hash_function, FuncId, InstLoc, Module, Operand, Vreg};
 use ipra_machine::{PReg, RegMask, Target};
 
 use crate::analysis::{AnalysisCache, FuncAnalyses};
@@ -472,13 +472,12 @@ pub fn allocate_function_with(
 
     // Fill save_around: registers of values live across each call that the
     // call may destroy.
-    for lr in &ranges.ranges {
-        for &site in &lr.spans_calls {
-            let site = site as usize;
-            let block = ranges.call_sites[site].loc.block;
-            if let VregLoc::Reg(r) = assignment.loc(lr.vreg, block) {
-                if call_plans[site].danger.contains(r) {
-                    call_plans[site].save_around.insert(r);
+    for (si, plan) in call_plans.iter_mut().enumerate() {
+        let block = ranges.call_sites[si].loc.block;
+        for v in ranges.live_across(si) {
+            if let VregLoc::Reg(r) = assignment.loc(Vreg(v as u32), block) {
+                if plan.danger.contains(r) {
+                    plan.save_around.insert(r);
                 }
             }
         }

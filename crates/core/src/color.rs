@@ -122,8 +122,8 @@ pub fn color_with(
     }
     let mut split_forbid = scratch.masks.take(nv, RegMask::EMPTY);
 
-    // Memoized static priority terms (see `PriorityCache`).
-    let mut cache = PriorityCache::new(ctx);
+    // Per-(vreg, register) call costs, filled once (see `PriorityCache`).
+    let cache = PriorityCache::new(ctx);
 
     // Max-heap of (density, vreg); keys may go stale, so they are
     // re-validated on pop.
@@ -288,14 +288,17 @@ fn try_split(
     // Per-block weighted reference gain for this vreg.
     let gain_of = per_block_gain(ctx, vi);
 
-    // Calls spanned by the range, by block.
+    // Calls spanned by the range, by block, in scan order (the order the
+    // region's net value subtracts them in).
     let mut call_cost_in_block: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
-    for &site in &lr.spans_calls {
-        let s = &ctx.ranges.call_sites[site as usize];
-        call_cost_in_block
-            .entry(s.loc.block.index())
-            .or_default()
-            .push((site as usize, s.weight));
+    for site in ctx.ranges.scan_order() {
+        if ctx.ranges.is_live_across(vi, site) {
+            let s = &ctx.ranges.call_sites[site];
+            call_cost_in_block
+                .entry(s.loc.block.index())
+                .or_default()
+                .push((site, s.weight));
+        }
     }
 
     let mut remaining = lr.blocks.clone();

@@ -59,9 +59,11 @@ impl PriorityCtx<'_> {
         let c = &self.target.cost;
         let save_restore = (c.load + c.store) as f64;
         let mut cost = 0.0;
-        for &site in &lr.spans_calls {
-            if self.site_clobbers[site as usize].contains(r) {
-                cost += self.ranges.call_sites[site as usize].weight * save_restore;
+        for site in self.ranges.scan_order() {
+            if self.site_clobbers[site].contains(r)
+                && self.ranges.is_live_across(lr.vreg.index(), site)
+            {
+                cost += self.ranges.call_sites[site].weight * save_restore;
             }
         }
         if self.charge_callee_saved_entry
@@ -128,58 +130,65 @@ fn pref_rank(p: (bool, bool)) -> u8 {
     }
 }
 
-/// Memoized static priority terms for the coloring loop.
+/// The per-call cost sums of every `(variable, register)` pair, for the
+/// coloring loop.
 ///
-/// `benefit`, the per-call cost sum, and the hint bonus of a
-/// `(variable, register)` pair never change while coloring runs (site
-/// clobbers and hints are fixed per function), yet [`PriorityCtx::best`]
-/// re-derives them on every heap revalidation. The cache computes each
-/// pair once, lazily. Only the callee-saved entry charge depends on
-/// evolving state (`used_in_func`), so it is added at lookup time — in the
-/// same accumulation order as [`PriorityCtx::reg_cost`], which keeps every
-/// floating-point result bit-identical to the uncached path.
+/// The call cost of a pair never changes while coloring runs (site
+/// clobbers are fixed per function), yet [`PriorityCtx::best`] re-derives
+/// it on every heap revalidation. The table is filled once, up front, by
+/// walking each call site's live-across row: for each site in
+/// `RangeData::scan_order`, for each vreg live across it, for each
+/// allocatable register its callee clobbers. Each pair therefore adds its
+/// terms in the same order as [`PriorityCtx::reg_cost`], so every sum —
+/// and every priority built on it — is bit-identical to the uncached
+/// path. Only the callee-saved entry charge depends on evolving state
+/// (`used_in_func`), so it is added at lookup time.
 pub struct PriorityCache {
     nr: usize,
-    /// Per-vreg benefit; `None` until first asked.
-    benefit: Vec<Option<f64>>,
-    /// Per `(vreg, reg)` pair: `(call_cost, hint_bonus)`.
-    pair: Vec<Option<(f64, f64)>>,
+    /// Per `(vreg, reg)` pair, row-major by vreg.
+    call_cost: Vec<f64>,
 }
 
 impl PriorityCache {
-    /// An empty cache sized for `ctx`.
+    /// The table for `ctx`.
     pub fn new(ctx: &PriorityCtx<'_>) -> Self {
         let nv = ctx.ranges.ranges.len();
         let nr = ctx.target.regs.num_regs();
-        PriorityCache {
-            nr,
-            benefit: vec![None; nv],
-            pair: vec![None; nv * nr],
+        let c = &ctx.target.cost;
+        let save_restore = (c.load + c.store) as f64;
+        let allocatable: RegMask = ctx.target.regs.allocatable().iter().copied().collect();
+        let mut call_cost = vec![0.0; nv * nr];
+        for site in ctx.ranges.scan_order() {
+            let clobbered = ctx.site_clobbers[site].intersect(allocatable);
+            if clobbered.is_empty() {
+                continue;
+            }
+            let term = ctx.ranges.call_sites[site].weight * save_restore;
+            for v in ctx.ranges.live_across(site) {
+                let row = &mut call_cost[v * nr..][..nr];
+                for r in clobbered.iter() {
+                    row[r.index()] += term;
+                }
+            }
         }
+        PriorityCache { nr, call_cost }
     }
 
-    /// Cached equivalent of [`PriorityCtx::net`].
+    /// The summed save/restore cost of the calls `v` is live across whose
+    /// callee clobbers the allocatable register `r`.
+    pub(crate) fn call_cost(&self, v: usize, r: PReg) -> f64 {
+        self.call_cost[v * self.nr + r.index()]
+    }
+
+    /// Cached equivalent of [`PriorityCtx::net`], for allocatable `r`.
     pub fn net(
-        &mut self,
+        &self,
         ctx: &PriorityCtx<'_>,
         lr: &LiveRange,
         r: PReg,
         used_in_func: RegMask,
     ) -> f64 {
-        let vi = lr.vreg.index();
-        let benefit = *self.benefit[vi].get_or_insert_with(|| ctx.benefit(lr));
-        let (call_cost, hint) = *self.pair[vi * self.nr + r.index()].get_or_insert_with(|| {
-            let c = &ctx.target.cost;
-            let save_restore = (c.load + c.store) as f64;
-            let mut cost = 0.0;
-            for &site in &lr.spans_calls {
-                if ctx.site_clobbers[site as usize].contains(r) {
-                    cost += ctx.ranges.call_sites[site as usize].weight * save_restore;
-                }
-            }
-            (cost, ctx.hint_bonus(lr, r))
-        });
-        let mut cost = call_cost;
+        let mut cost = self.call_cost(lr.vreg.index(), r);
         if ctx.charge_callee_saved_entry
             && ctx.target.regs.class(r) == Some(RegClass::CalleeSaved)
             && !used_in_func.contains(r)
@@ -187,14 +196,13 @@ impl PriorityCache {
             let c = &ctx.target.cost;
             cost += ctx.entry_weight * (c.load + c.store) as f64;
         }
-        benefit - cost + hint
+        ctx.benefit(lr) - cost + ctx.hint_bonus(lr, r)
     }
 
     /// Cached equivalent of [`PriorityCtx::best`]: same selection, same
-    /// tie-breaks, same result — the per-pair terms just come from the
-    /// memo table.
+    /// tie-breaks, same result — the call costs just come from the table.
     pub fn best(
-        &mut self,
+        &self,
         ctx: &PriorityCtx<'_>,
         lr: &LiveRange,
         forbidden: RegMask,
@@ -376,50 +384,131 @@ mod tests {
         assert_eq!(best, fav);
     }
 
+    /// Two calls in the entry block, two in a loop body and one in the
+    /// exit block, with values live across all of them.
+    fn multi_block_with_calls() -> Function {
+        let mut m = Module::new();
+        let f1 = m.declare_func("f1");
+        let f2 = m.declare_func("f2");
+        let mut b = FunctionBuilder::new("f");
+        let i = b.var("i");
+        let x = b.copy(5);
+        let y = b.copy(6);
+        let r0 = b.call(f1, vec![x.into()]);
+        let z = b.bin(BinOp::Add, r0, y);
+        b.call_void(f2, vec![]);
+        b.copy_to(i, 0);
+        let h = b.new_block();
+        let body = b.new_block();
+        let out = b.new_block();
+        b.br(h);
+        let c = b.bin(BinOp::Lt, i, 10);
+        b.cond_br(c, body, out);
+        b.switch_to(body);
+        b.call_void(f1, vec![i.into()]);
+        let t = b.bin(BinOp::Add, z, i);
+        b.call_void(f2, vec![t.into()]);
+        let ni = b.bin(BinOp::Add, i, 1);
+        b.copy_to(i, ni);
+        b.br(h);
+        b.switch_to(out);
+        let r1 = b.call(f2, vec![]);
+        let s1 = b.bin(BinOp::Add, x, r1);
+        let s2 = b.bin(BinOp::Add, s1, y);
+        let s3 = b.bin(BinOp::Add, s2, z);
+        b.print(s3);
+        b.ret(None);
+        b.build()
+    }
+
+    /// The cached call costs equal [`PriorityCtx::reg_cost`] and the cached
+    /// priorities equal the uncached ones, bit for bit: on one call with
+    /// loop weights, and on five calls in three blocks with fractional
+    /// profile weights and a different clobber mask per site.
     #[test]
     fn cache_matches_uncached_bit_for_bit() {
-        let (f, _, _) = func_with_call();
         let target = Target::mips_like();
-        let (rd, weights) = range_data(&f);
-        let clobbers = vec![target.regs.default_clobbers()];
-        let fav = target.regs.allocatable()[2];
-        let mut hints = vec![Vec::new(); f.num_vregs()];
-        hints[0].push((fav, 7.5));
-        let ctx = PriorityCtx {
-            target: &target,
-            ranges: &rd,
-            site_clobbers: &clobbers,
-            charge_callee_saved_entry: true,
-            entry_weight: 1.0,
-            subtree_used: RegMask::single(fav),
-            hints: &hints,
-            weights: &weights,
-        };
-        let mut cache = PriorityCache::new(&ctx);
-        for lr in rd.ranges.iter().filter(|l| l.is_candidate()) {
-            for &r in target.regs.allocatable() {
-                for used in [RegMask::EMPTY, RegMask::single(r)] {
-                    // Ask twice: the first call fills the memo, the second
-                    // reads it; both must equal the uncached value exactly.
-                    for _ in 0..2 {
-                        assert_eq!(
-                            cache.net(&ctx, lr, r, used).to_bits(),
-                            ctx.net(lr, r, used).to_bits(),
-                        );
+        let a = target.regs.allocatable();
+        let (single, _, _) = func_with_call();
+        let multi = multi_block_with_calls();
+        let cases = [
+            (single, None, vec![target.regs.default_clobbers()]),
+            (
+                multi,
+                // Entry, loop header, loop body, exit; 10 invocations.
+                Some([10u64, 37, 27, 3]),
+                vec![
+                    target.regs.default_clobbers(),
+                    RegMask::single(a[5]),
+                    target.regs.default_clobbers(),
+                    a[..6].iter().copied().collect(),
+                    a[3..9].iter().copied().collect(),
+                ],
+            ),
+        ];
+        let mut fractional = false;
+        for (f, counts, clobbers) in &cases {
+            let an = FuncAnalyses::compute(f);
+            let weights = match counts {
+                Some(c) => BlockWeights::from_profile(&an.cfg, &an.loops, c),
+                None => BlockWeights::from_loops(&an.cfg, &an.loops),
+            };
+            let rd = RangeData::build(f, &an.cfg, &an.liveness, &weights);
+            assert_eq!(rd.call_sites.len(), clobbers.len());
+            // The scan order: blocks forward, each block's calls backward.
+            let mut want: Vec<usize> = (0..rd.call_sites.len()).collect();
+            want.sort_by_key(|&s| {
+                let loc = rd.call_sites[s].loc;
+                (loc.block.index(), std::cmp::Reverse(loc.inst))
+            });
+            assert_eq!(rd.scan_order().collect::<Vec<_>>(), want);
+
+            let fav = a[2];
+            let mut hints = vec![Vec::new(); f.num_vregs()];
+            hints[0].push((fav, 7.5));
+            for charge in [false, true] {
+                let ctx = PriorityCtx {
+                    target: &target,
+                    ranges: &rd,
+                    site_clobbers: clobbers,
+                    charge_callee_saved_entry: charge,
+                    entry_weight: 1.0,
+                    subtree_used: RegMask::single(fav),
+                    hints: &hints,
+                    weights: &weights,
+                };
+                let cache = PriorityCache::new(&ctx);
+                for lr in rd.ranges.iter().filter(|l| l.is_candidate()) {
+                    for &r in a {
+                        if !charge {
+                            let cost = cache.call_cost(lr.vreg.index(), r);
+                            assert_eq!(
+                                cost.to_bits(),
+                                ctx.reg_cost(lr, r, RegMask::EMPTY).to_bits()
+                            );
+                            fractional |= cost.fract() != 0.0;
+                        }
+                        for used in [RegMask::EMPTY, RegMask::single(r)] {
+                            assert_eq!(
+                                cache.net(&ctx, lr, r, used).to_bits(),
+                                ctx.net(lr, r, used).to_bits(),
+                            );
+                        }
+                    }
+                    let uncached = ctx.best(lr, RegMask::EMPTY, RegMask::EMPTY);
+                    let cached = cache.best(&ctx, lr, RegMask::EMPTY, RegMask::EMPTY);
+                    match (uncached, cached) {
+                        (None, None) => {}
+                        (Some((ur, ud)), Some((cr, cd))) => {
+                            assert_eq!(ur, cr);
+                            assert_eq!(ud.to_bits(), cd.to_bits());
+                        }
+                        other => panic!("cache diverged: {other:?}"),
                     }
                 }
             }
-            let uncached = ctx.best(lr, RegMask::EMPTY, RegMask::EMPTY);
-            let cached = cache.best(&ctx, lr, RegMask::EMPTY, RegMask::EMPTY);
-            match (uncached, cached) {
-                (None, None) => {}
-                (Some((ur, ud)), Some((cr, cd))) => {
-                    assert_eq!(ur, cr);
-                    assert_eq!(ud.to_bits(), cd.to_bits());
-                }
-                other => panic!("cache diverged: {other:?}"),
-            }
         }
+        assert!(fractional, "some call cost sums non-integer weights");
     }
 
     #[test]

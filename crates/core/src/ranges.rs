@@ -8,6 +8,7 @@
 //! the per-(variable, register) cost terms of the inter-procedural
 //! allocator.
 
+use ipra_cfg::bitset::{iter_words, symmetrize, Iter};
 use ipra_cfg::{BitSet, Cfg, Liveness, LoopInfo};
 use ipra_ir::{BlockId, Callee, FuncId, Function, Inst, InstLoc, Vreg};
 
@@ -79,9 +80,6 @@ pub struct LiveRange {
     pub weighted_defs: f64,
     /// Static reference count (uses + defs).
     pub num_refs: u32,
-    /// Indices (into [`RangeData::call_sites`]) of the calls this range is
-    /// live across.
-    pub spans_calls: Vec<u32>,
     /// Weighted `(uses, defs)` per block index — the per-block detail the
     /// splitter needs to seed and value sub-regions.
     pub block_refs: std::collections::HashMap<u32, (f64, f64)>,
@@ -111,6 +109,13 @@ pub struct RangeData {
     pub adj: Vec<BitSet>,
     /// All call sites, in block order.
     pub call_sites: Vec<CallSiteInfo>,
+    /// The vregs live across each call site: row `s` (aligned with
+    /// [`RangeData::call_sites`]) is the set live just after call `s`
+    /// minus the call's own result, stored as `row_words` words from word
+    /// `s * row_words` of one flat buffer.
+    live_across: Vec<u64>,
+    /// Words per live-across row: `num_vregs.div_ceil(64)`.
+    row_words: usize,
 }
 
 impl RangeData {
@@ -139,14 +144,13 @@ impl RangeData {
                 weighted_uses: 0.0,
                 weighted_defs: 0.0,
                 num_refs: 0,
-                spans_calls: Vec::new(),
                 block_refs: std::collections::HashMap::new(),
             })
             .collect();
         let mut adj: Vec<BitSet> = (0..nv).map(|_| BitSet::new(nv)).collect();
 
-        // Collect call sites in forward block order so the backward scan can
-        // index them.
+        // Collect call sites in forward block order; the backward scan
+        // meets each block's run of them last to first.
         let mut call_sites = Vec::new();
         for (id, b) in func.blocks.iter() {
             if !cfg.is_reachable(id) {
@@ -166,11 +170,8 @@ impl RangeData {
                 }
             }
         }
-        // Per-block index of the first call site.
-        let mut site_index = std::collections::HashMap::new();
-        for (i, c) in call_sites.iter().enumerate() {
-            site_index.insert(c.loc, i as u32);
-        }
+        let row_words = nv.div_ceil(64);
+        let mut live_across = vec![0u64; call_sites.len() * row_words];
 
         // Range membership: every block where the register is live or
         // referenced.
@@ -192,15 +193,25 @@ impl RangeData {
         }
 
         // Backward scan: precise interference, weighted counts, live-across
-        // sets. Each def ORs the whole live set into its adjacency row in
-        // one word-level pass — the reverse edges are filled in by a single
-        // symmetrization sweep after the scan, instead of a per-def
-        // bit-by-bit walk of `live_now`.
+        // rows. Each def ORs the whole live set into its adjacency row in
+        // one word-level pass — the reverse edges are filled in by one tiled
+        // transpose after the scan, instead of a per-def bit-by-bit walk of
+        // `live_now`.
+        let mut block_start = 0;
         for (id, b) in func.blocks.iter() {
             if !cfg.is_reachable(id) {
                 continue;
             }
             let bi = id.index();
+            // This block's calls are the next run of `call_sites`; the scan
+            // meets them last to first, so `site` counts down from its end.
+            let block_end = block_start
+                + call_sites[block_start..]
+                    .iter()
+                    .take_while(|c| c.loc.block == id)
+                    .count();
+            let mut site = block_end;
+            block_start = block_end;
             let w = weights.weight(id);
             scratch.live_now.copy_from(&live.live_out[bi]);
             let live_now = &mut scratch.live_now;
@@ -215,12 +226,12 @@ impl RangeData {
 
             for (i, inst) in b.insts.iter().enumerate().rev() {
                 if inst.is_call() {
-                    let site = site_index[&InstLoc { block: id, inst: i }];
-                    let dst = inst.def();
-                    for v in live_now.iter() {
-                        if dst.map(|d| d.index()) != Some(v) {
-                            ranges[v].spans_calls.push(site);
-                        }
+                    site -= 1;
+                    debug_assert_eq!(call_sites[site].loc, InstLoc { block: id, inst: i });
+                    let row = &mut live_across[site * row_words..][..row_words];
+                    row.copy_from_slice(live_now.words());
+                    if let Some(d) = inst.def() {
+                        row[d.index() / 64] &= !(1 << (d.index() % 64));
                     }
                 }
                 if let Some(d) = inst.def() {
@@ -269,28 +280,42 @@ impl RangeData {
             }
         }
 
-        // Symmetrize: the scan recorded def -> live edges only. Rows of
-        // vregs that were never defined while something was live are empty
-        // and skipped with one word-level check.
-        for v in 0..nv {
-            adj[v].remove(v);
-            if adj[v].is_empty() {
-                continue;
-            }
-            let row = std::mem::replace(&mut adj[v], BitSet::new(0));
-            for u in row.iter() {
-                adj[u].insert(v);
-            }
-            adj[v] = row;
-        }
+        // The scan recorded def -> live edges only; add the reverse edges
+        // and drop self-edges.
+        symmetrize(&mut adj);
 
-        // De-duplicate spans_calls (a range can be rediscovered live across
-        // the same call only once per scan, so they are already unique).
         RangeData {
             ranges,
             adj,
             call_sites,
+            live_across,
+            row_words,
         }
+    }
+
+    /// The vregs live across call site `site`, in increasing order.
+    pub(crate) fn live_across(&self, site: usize) -> Iter<'_> {
+        iter_words(&self.live_across[site * self.row_words..][..self.row_words])
+    }
+
+    /// Whether vreg `v` is live across call site `site`.
+    pub(crate) fn is_live_across(&self, v: usize, site: usize) -> bool {
+        self.live_across[site * self.row_words + v / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// Call-site indices in the order the backward scan meets them: blocks
+    /// first to last, each block's calls last to first. Every sum over the
+    /// calls a range spans runs in this order, so priorities are the same
+    /// floating-point values wherever they are computed.
+    pub(crate) fn scan_order(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut end = 0;
+        self.call_sites
+            .chunk_by(|a, b| a.loc.block == b.loc.block)
+            .flat_map(move |run| {
+                let start = end;
+                end += run.len();
+                (start..end).rev()
+            })
     }
 
     /// Whether `a` and `b` interfere.
@@ -382,12 +407,13 @@ mod tests {
         assert_eq!(rd.call_sites.len(), 1);
         assert_eq!(rd.call_sites[0].callee, Some(callee));
         assert_eq!(
-            rd.ranges[x.index()].spans_calls,
-            vec![0],
-            "x survives the call"
+            rd.live_across(0).collect::<Vec<_>>(),
+            vec![x.index()],
+            "x, and only x, survives the call"
         );
+        assert!(rd.is_live_across(x.index(), 0));
         assert!(
-            rd.ranges[r.index()].spans_calls.is_empty(),
+            !rd.is_live_across(r.index(), 0),
             "call result is not live across"
         );
     }
@@ -403,9 +429,10 @@ mod tests {
         let f = b.build();
         let (_, rd) = analyze(&f);
         assert!(
-            rd.ranges[x.index()].spans_calls.is_empty(),
+            !rd.is_live_across(x.index(), 0),
             "argument dies at the call; no save needed"
         );
+        assert_eq!(rd.live_across(0).count(), 0, "nothing survives the call");
     }
 
     #[test]

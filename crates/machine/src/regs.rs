@@ -83,9 +83,18 @@ impl RegMask {
         self.0.count_ones()
     }
 
-    /// Iterates over members in increasing index order.
+    /// Iterates over members in increasing index order, visiting only the
+    /// set bits.
     pub fn iter(self) -> impl Iterator<Item = PReg> {
-        (0..32u8).filter(move |i| self.0 & (1 << i) != 0).map(PReg)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let r = PReg(bits.trailing_zeros() as u8);
+            bits &= bits - 1;
+            Some(r)
+        })
     }
 }
 
@@ -457,6 +466,30 @@ impl Default for RegFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mask_iter_matches_a_filter_over_all_32_positions() {
+        let filtered = |m: RegMask| -> Vec<PReg> {
+            (0..32u8)
+                .filter(|i| m.0 & (1 << i) != 0)
+                .map(PReg)
+                .collect()
+        };
+        // xorshift32 over random masks, plus the edge cases.
+        let mut state = 0x1234_5678u32;
+        let mut masks = vec![0, u32::MAX, 1, 1 << 31, 0x8000_0001, 0x5555_5555];
+        for _ in 0..1000 {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            masks.push(state);
+            masks.push(state & (state >> 7)); // sparser
+        }
+        for m in masks {
+            let m = RegMask(m);
+            assert_eq!(m.iter().collect::<Vec<_>>(), filtered(m), "{:#x}", m.0);
+        }
+    }
 
     #[test]
     fn mips_like_shape_matches_paper() {
