@@ -16,6 +16,11 @@
 //! summation order of the priority function observable in the priority
 //! bits.
 //!
+//! A second program, `wide3`, interleaves calls to three closed leaves
+//! whose register footprints differ and overlap, so one function sees
+//! several distinct clobber patterns: its call costs differ between
+//! registers clobbered by different subsets of its call sites.
+//!
 //! The digests pin the exact machine code and every priority: any change
 //! to how live-across sets, interference or priorities are stored or
 //! computed must reproduce them bit for bit.
@@ -33,6 +38,10 @@ use ipra_sim::{run, SimOptions};
 /// word boundary, two words and a bit, and a size where the allocator's
 /// tables dominate the compile.
 const SIZES: [usize; 5] = [63, 64, 65, 130, 800];
+
+/// Sizes of the three-callee function: past a word boundary, and the size
+/// where the allocator's tables dominate the compile.
+const SIZES3: [usize; 2] = [65, 800];
 
 /// FNV-1a over bytes.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -88,6 +97,67 @@ fn wide_source(n: usize) -> String {
     s
 }
 
+/// Like [`wide_source`], but `wide` calls three closed leaves in turn:
+/// `tick` (one temporary), `tock` (a few) and `tack` (several), so under
+/// `-O3` each leaf clobbers a different, overlapping register set. The
+/// straight-line calls rotate through all three, widest first, so each
+/// narrower leaf's first call clobbers only part of the registers the
+/// calls before it clobbered. The loop alternates `tock` and `tick`, and
+/// the branch calls `tack`.
+fn wide3_source(n: usize) -> String {
+    let mut s = String::new();
+    s.push_str("global sink: int;\n");
+    s.push_str("fn tick(x: int) -> int {\n    sink = sink + (x & 255);\n    return x + 1;\n}\n");
+    s.push_str(
+        "fn tock(x: int, y: int) -> int {\n    var p: int = x * 3;\n    var q: int = y ^ p;\n    var r: int = p + q;\n    sink = sink ^ (r & 1023);\n    return r - x;\n}\n",
+    );
+    s.push_str(
+        "fn tack(x: int, y: int, z: int) -> int {\n    var p: int = x + y;\n    var q: int = y - z;\n    var r: int = p * q;\n    var u: int = r ^ x;\n    var w: int = u + p * z;\n    sink = sink + (w & 511) + (q & 7);\n    return (w ^ r) & 65535;\n}\n",
+    );
+    s.push_str("fn wide(a: int) -> int {\n    var t: int = a;\n");
+    for i in 0..n {
+        let src = if i == 0 {
+            "a".to_string()
+        } else {
+            format!("v{}", (i * 7 + 3) % i)
+        };
+        let op = ["+", "-", "^"][i % 3];
+        let _ = writeln!(s, "    var v{i}: int = {src} {op} {};", (i * 37) % 997 + 1);
+        match i % 9 {
+            2 => {
+                let _ = writeln!(s, "    t = tack(t, v{i}, a);");
+            }
+            5 => {
+                let _ = writeln!(s, "    t = tock(t, v{i});");
+            }
+            8 => {
+                let _ = writeln!(s, "    t = tick(t + v{i});");
+            }
+            _ => {}
+        }
+    }
+    let _ = writeln!(
+        s,
+        "    var j: int = 0;\n    while j < ((a * 3) & 3) + 1 {{\n        t = tock(t, v{}) + j;\n        t = tick(t ^ j);\n        j = j + 1;\n    }}",
+        n / 2
+    );
+    let _ = writeln!(
+        s,
+        "    if (a & 1) == 1 {{\n        t = tack(t, v{}, a);\n    }}",
+        n - 1
+    );
+    s.push_str("    var s: int = t;\n");
+    for i in 0..n {
+        let op = ["+", "^"][i % 2];
+        let _ = writeln!(s, "    s = s {op} v{i};");
+    }
+    s.push_str("    return s;\n}\n");
+    s.push_str(
+        "fn main() {\n    var acc: int = 0;\n    var i: int = 0;\n    while i < 5 {\n        acc = acc ^ wide(i);\n        i = i + 1;\n    }\n    print(acc);\n    print(sink);\n}\n",
+    );
+    s
+}
+
 /// The text `mini-cc --emit asm` prints for `module`, then one line per
 /// `alloc.decision` event with the priority's bits in hex.
 fn asm(
@@ -124,9 +194,9 @@ fn o2_no_shrink_wrap() -> AllocOptions {
     }
 }
 
-/// Digest of one `(size, config)` case.
-fn digest(n: usize, config: &str) -> u64 {
-    let module = ipra_frontend::compile(&wide_source(n)).expect("generated source compiles");
+/// Digest of one `(source, config)` case.
+fn digest(source: &str, config: &str) -> u64 {
+    let module = ipra_frontend::compile(source).expect("generated source compiles");
     let text = match config {
         "O3" => asm(&module, &Target::mips_like(), &AllocOptions::o3(), None),
         "O2-no-sw" => asm(&module, &Target::mips_like(), &o2_no_shrink_wrap(), None),
@@ -184,7 +254,7 @@ const GOLDEN: [(usize, &str, u64); 20] = [
 fn check(n: usize) {
     let mut diffs = Vec::new();
     for &(gn, config, want) in GOLDEN.iter().filter(|g| g.0 == n) {
-        let got = digest(gn, config);
+        let got = digest(&wide_source(gn), config);
         if got != want {
             diffs.push(format!("({gn}, \"{config}\", {got:#018x}),"));
         }
@@ -192,10 +262,27 @@ fn check(n: usize) {
     assert!(diffs.is_empty(), "asm digests moved:\n{}", diffs.join("\n"));
 }
 
+/// `(n, config, digest)` for [`wide3_source`], recorded before the
+/// call-cost table was grouped by clobber pattern.
+const GOLDEN3: [(usize, &str, u64); 8] = [
+    (65, "O3", 0x3cb9bf7aa36cf623),
+    (65, "O2-no-sw", 0xb91c9438131772e9),
+    (65, "embedded8", 0xfd495149241f6447),
+    (65, "O3-profile", 0xca7f8a3020725e68),
+    (800, "O3", 0xaae3e54f60962b8f),
+    (800, "O2-no-sw", 0x0dce3b689119a817),
+    (800, "embedded8", 0xebe5ccce6f71718f),
+    (800, "O3-profile", 0xba7aa8cfcdf89036),
+];
+
 #[test]
 fn generated_sources_parse_and_run_identically_at_every_size() {
-    for n in SIZES {
-        let module = ipra_frontend::compile(&wide_source(n)).expect("generated source compiles");
+    let sources = SIZES
+        .iter()
+        .map(|&n| (n, wide_source(n)))
+        .chain(SIZES3.map(|n| (n, wide3_source(n))));
+    for (n, source) in sources {
+        let module = ipra_frontend::compile(&source).expect("generated source compiles");
         let want = ipra_ir::interp::run_module(&module)
             .expect("interpreter runs")
             .output;
@@ -233,9 +320,42 @@ fn asm_is_pinned_at_800_values() {
 }
 
 #[test]
+fn asm_is_pinned_with_three_callees() {
+    let mut diffs = Vec::new();
+    for &(n, config, want) in &GOLDEN3 {
+        let got = digest(&wide3_source(n), config);
+        if got != want {
+            diffs.push(format!("({n}, \"{config}\", {got:#018x}),"));
+        }
+    }
+    assert!(diffs.is_empty(), "asm digests moved:\n{}", diffs.join("\n"));
+}
+
+/// Under `-O3` the three leaves of `wide3` clobber three different
+/// register sets, each overlapping another, so `wide` prices several
+/// clobber patterns.
+#[test]
+fn three_callees_clobber_different_overlapping_sets() {
+    let module = ipra_frontend::compile(&wide3_source(SIZES3[0])).expect("compiles");
+    let compiled =
+        compile_module_with_profile(&module, &Target::mips_like(), &AllocOptions::o3(), None);
+    let mask = |name: &str| {
+        let f = module.func_by_name(name).expect("leaf exists");
+        compiled.clobber_masks[f.index()]
+    };
+    let (tick, tock, tack) = (mask("tick"), mask("tock"), mask("tack"));
+    assert!(
+        tick != tock && tock != tack && tick != tack,
+        "{tick:?} {tock:?} {tack:?}"
+    );
+    assert!(!tick.intersect(tock).is_empty() && !tock.intersect(tack).is_empty());
+}
+
+#[test]
 fn every_size_has_every_config() {
-    for n in SIZES {
-        let configs: Vec<_> = GOLDEN.iter().filter(|g| g.0 == n).map(|g| g.1).collect();
+    let sizes = SIZES.iter().map(|&n| (n, &GOLDEN[..]));
+    for (n, golden) in sizes.chain(SIZES3.iter().map(|&n| (n, &GOLDEN3[..]))) {
+        let configs: Vec<_> = golden.iter().filter(|g| g.0 == n).map(|g| g.1).collect();
         assert_eq!(
             configs,
             ["O3", "O2-no-sw", "embedded8", "O3-profile"],
