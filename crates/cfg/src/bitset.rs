@@ -82,6 +82,14 @@ impl BitSet {
         self.capacity = other.capacity;
     }
 
+    /// Empties the set and makes its capacity `capacity`, reusing the
+    /// word buffer.
+    pub fn reset(&mut self, capacity: usize) {
+        self.words.clear();
+        self.words.resize(capacity.div_ceil(64), 0);
+        self.capacity = capacity;
+    }
+
     /// Inserts every index in `0..capacity`.
     pub fn insert_all(&mut self) {
         if self.capacity == 0 {
@@ -200,8 +208,11 @@ pub fn iter_words(words: &[u64]) -> Iter<'_> {
 ///
 /// The matrix is processed in 64×64 tiles: tile `(I, J)` and its mirror
 /// `(J, I)` are each transposed in registers and ORed into the other, so
-/// the work is word-parallel rather than one insertion per set bit. A
-/// pair of all-zero tiles costs only the loads that find it empty.
+/// the work is word-parallel rather than one insertion per set bit. An
+/// all-zero tile is neither transposed nor ORed, so a pair of all-zero
+/// tiles costs only the loads that find it empty, and a nearly triangular
+/// matrix (one tile of each off-diagonal pair empty) pays one transpose
+/// per pair.
 ///
 /// # Panics
 ///
@@ -217,11 +228,10 @@ pub fn symmetrize(rows: &mut [BitSet]) {
         for tj in ti..tiles {
             let a = load_tile(rows, ti, tj);
             let b = if ti == tj { a } else { load_tile(rows, tj, ti) };
-            if a == [0; 64] && b == [0; 64] {
-                continue;
+            if b != [0; 64] {
+                or_tile(rows, ti, tj, &transpose64(b));
             }
-            or_tile(rows, ti, tj, &transpose64(b));
-            if ti != tj {
+            if ti != tj && a != [0; 64] {
                 or_tile(rows, tj, ti, &transpose64(a));
             }
         }
@@ -467,12 +477,30 @@ mod tests {
                         }
                     }
                 }
-                let mut want = rows.clone();
-                symmetrize_bit_by_bit(&mut want);
-                symmetrize(&mut rows);
-                assert_eq!(rows, want, "n={n} density={per_64}/64");
-                for (i, row) in rows.iter().enumerate() {
-                    assert!(!row.contains(i), "n={n}: diagonal bit {i} survives");
+                // As drawn, then strictly lower- and strictly
+                // upper-triangular, where one tile of every off-diagonal
+                // pair is all-zero.
+                for shape in ["full", "lower", "upper"] {
+                    let mut rows = rows.clone();
+                    for (r, row) in rows.iter_mut().enumerate() {
+                        for c in 0..n {
+                            let keep = match shape {
+                                "lower" => c < r,
+                                "upper" => c > r,
+                                _ => true,
+                            };
+                            if !keep {
+                                row.remove(c);
+                            }
+                        }
+                    }
+                    let mut want = rows.clone();
+                    symmetrize_bit_by_bit(&mut want);
+                    symmetrize(&mut rows);
+                    assert_eq!(rows, want, "n={n} density={per_64}/64 {shape}");
+                    for (i, row) in rows.iter().enumerate() {
+                        assert!(!row.contains(i), "n={n}: diagonal bit {i} survives");
+                    }
                 }
             }
         }
